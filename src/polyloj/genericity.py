@@ -3,14 +3,15 @@
 Fix the supports Z_i and draw coefficients at random: non-degeneracy at
 infinity should hold for essentially every draw, and should survive small
 jitters of a mapping that already has it.  Supports never change inside an
-experiment, so the polyhedral side (hulls and negative face tuples) is
-computed once and reused across trials; only the exact per-tuple decisions
-are re-run with the fresh coefficients.
+experiment, so one NondegeneracyPlan (Newton polyhedra and negative face
+tuples) is built per experiment and every trial only decides its face
+systems with the fresh coefficients.  Trial k draws its coefficients and
+its search seed from SeedSequence([seed, k]), so different seeds give
+independent streams.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -18,11 +19,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .nondegeneracy import (
-    _decide_system,
-    face_system,
-    nondegenerate_at_infinity,
+    NondegeneracyPlan,
+    NondegeneracyReport,
+    check_witness,
+    component_subtuples,
 )
-from .polyhedra import enumerate_negative_face_tuples, newton_polyhedron
 from .polynomials import Polynomial, PolynomialMapping
 
 MIN_COEFF = 1e-3
@@ -34,7 +35,7 @@ Sampler = Callable[[np.random.Generator], float]
 class GenericityStats:
     """Tally of one experiment: how many random coefficient draws on the
     fixed supports were non-degenerate, with every degenerate draw saved
-    (and re-verified) for inspection."""
+    (its witness re-checked) for inspection."""
 
     supports: tuple[tuple[tuple[int, ...], ...], ...]
     trials: int
@@ -118,34 +119,26 @@ def _default_sampler(rng: np.random.Generator) -> float:
     return float(rng.uniform(-1.0, 1.0))
 
 
-class _TuplePlan:
-    """The support-only part of the checker, shared by every trial."""
+def _trial_stream(seed: int, trial: int) -> tuple[np.random.Generator, int]:
+    """Trial `trial`'s coefficient generator and witness-search seed, both
+    drawn from SeedSequence([seed, trial])."""
+    coefficients, search = np.random.SeedSequence([seed, trial]).spawn(2)
+    return np.random.default_rng(coefficients), int(search.generate_state(1)[0])
 
-    def __init__(self, supports):
-        self.supports = supports
-        gammas = [newton_polyhedron(list(z)) for z in supports]
-        p = len(supports)
-        self.complete = True
-        self.checks = []
-        for size in range(1, p + 1):
-            for indices in itertools.combinations(range(1, p + 1), size):
-                enumeration = enumerate_negative_face_tuples(
-                    [gammas[i - 1] for i in indices]
-                )
-                self.complete = self.complete and enumeration.complete
-                for face_tuple in enumeration:
-                    self.checks.append((indices, face_tuple))
 
-    def verdict(self, F: PolynomialMapping, mode: str, attempts: int, seed: int):
-        undecided = not self.complete
-        for indices, face_tuple in self.checks:
-            system = face_system(F, indices, face_tuple)
-            evidence = _decide_system(system, mode, attempts, seed)
-            if evidence.kind == "Witness":
-                return "Degenerate"
-            if evidence.kind == "SearchExhausted":
-                undecided = True
-        return "Undecided" if undecided else "NonDegenerate"
+def _recheck_witnesses(report: NondegeneracyReport) -> None:
+    """Re-check every witness of a Degenerate decision with check_witness,
+    apart from the decision that produced it."""
+    for entry in report.witness_entries():
+        evidence = entry.evidence
+        if evidence.witness_exact is not None:
+            x = tuple(Fraction(v) for v in evidence.witness_exact)
+        else:
+            x = evidence.witness
+        if not check_witness(entry.system, x)[0]:
+            raise RuntimeError(
+                f"the witness {evidence.witness} of a degenerate draw failed its re-check"
+            )
 
 
 def _draw_coefficient(
@@ -172,19 +165,19 @@ def genericity_trial(
     attempts: int = 2000,
 ) -> GenericityStats:
     """Draw `trials` coefficient vectors on the fixed supports and count
-    non-degeneracy verdicts.  Trial k uses the generator seeded seed^k, so
+    non-degeneracy verdicts.  Trial k draws from SeedSequence([seed, k]), so
     trials are independent and order-insensitive; coefficients are carried
-    into exact arithmetic unchanged.  Every degenerate draw is saved and
-    re-verified through the public checker before it is reported.
+    into exact arithmetic unchanged.  Every degenerate draw is saved, and
+    its witness re-checked with check_witness before it is reported.
     """
     supports = _normalize_supports(supports)
     if sampler is None:
         sampler = _default_sampler
-    plan = _TuplePlan(supports)
+    plan = NondegeneracyPlan(supports, component_subtuples(len(supports)), seed=seed)
     nondeg = deg = undec = redraws = 0
     saved = []
     for trial in range(trials):
-        rng = np.random.Generator(np.random.PCG64(seed ^ trial))
+        rng, search_seed = _trial_stream(seed, trial)
         coeff_rows = []
         components = []
         for z in supports:
@@ -196,15 +189,12 @@ def genericity_trial(
             coeff_rows.append(tuple(str(coeffs[k]) for k in z))
             components.append(Polynomial.from_dict(len(z[0]), coeffs))
         F = PolynomialMapping(tuple(components))
-        verdict = plan.verdict(F, mode, attempts, seed ^ trial)
-        if verdict == "NonDegenerate":
+        report = plan.decide(F, mode, attempts, search_seed)
+        if report.verdict == "NonDegenerate":
             nondeg += 1
-        elif verdict == "Degenerate":
+        elif report.verdict == "Degenerate":
             deg += 1
-            replay = nondegenerate_at_infinity(F, mode=mode, attempts=attempts)
-            assert replay.verdict == "Degenerate", (
-                "fast path and public checker disagree on a degenerate draw"
-            )
+            _recheck_witnesses(report)
             saved.append(tuple(coeff_rows))
         else:
             undec += 1
@@ -234,14 +224,13 @@ def openness_probe(
     (erasing a support point) is redrawn and the redraw reported."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    base = nondegenerate_at_infinity(F, mode=mode, attempts=attempts)
-    if base.verdict != "NonDegenerate":
-        raise ValueError("openness probes require a non-degenerate input mapping")
     supports = _normalize_supports([f.support() for f in F])
-    plan = _TuplePlan(supports)
+    plan = NondegeneracyPlan(supports, component_subtuples(len(supports)), seed=seed)
+    if plan.decide(F, mode, attempts, seed).verdict != "NonDegenerate":
+        raise ValueError("openness probes require a non-degenerate input mapping")
     passed = redraws = 0
     for trial in range(trials):
-        rng = np.random.Generator(np.random.PCG64(seed ^ trial))
+        rng, search_seed = _trial_stream(seed, trial)
         components = []
         for f, z in zip(F, supports):
             coeffs = {}
@@ -256,7 +245,7 @@ def openness_probe(
                 coeffs[kappa] = value
             components.append(Polynomial.from_dict(len(z[0]), coeffs))
         G = PolynomialMapping(tuple(components))
-        if plan.verdict(G, mode, attempts, seed ^ trial) == "NonDegenerate":
+        if plan.decide(G, mode, attempts, search_seed).verdict == "NonDegenerate":
             passed += 1
     return OpennessResult(
         passed=passed, trials=trials, redraws=redraws, epsilon=epsilon

@@ -1,8 +1,8 @@
 """Integer lattice machinery for the monomial reduction of low-dimensional
-mappings: primitive vectors, unimodular completion of a covector system
-that stays nonnegative on a support set, and the monomial change of
-coordinates that rewrites each f_i as a monomial prefactor times a
-polynomial in fewer variables.
+mappings: unimodular completion of a covector system that stays
+nonnegative on a support set, and the monomial change of coordinates that
+rewrites each f_i as a monomial prefactor times a polynomial in fewer
+variables.
 
 The completion keeps, as a loop invariant, that the accepted prefix
 q~1..q~k is a Z-basis of Z^n intersected with span_Q{q^1..q^k}. Candidate
@@ -18,27 +18,19 @@ empty fundamental parallelepiped is exactly the basis property.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import det, dot, rank, rref
+from .linalg import det, dot, primitive_vector, rank, rref
 from .polynomials import Polynomial, PolynomialMapping
 
 IntVec = tuple[int, ...]
 
-
-def primitive(v: Sequence[int]) -> IntVec:
-    """v divided by the gcd of its entries, sign preserved."""
-    if all(c == 0 for c in v):
-        raise ValueError("zero vector has no primitive form")
-    g = 0
-    for c in v:
-        g = math.gcd(g, int(c))
-    return tuple(int(c) // g for c in v)
+# The package exports linalg.primitive_vector under this name.
+primitive = primitive_vector
 
 
 @dataclass(frozen=True)
@@ -222,7 +214,7 @@ def unimodular_complete(
     tilde: list[IntVec] = []
     for k, candidate in enumerate(extended):
         if k == 0:
-            tilde.append(primitive(candidate))
+            tilde.append(primitive_vector(candidate))
             continue
         v = candidate
         prev_count: Optional[int] = None
@@ -487,29 +479,6 @@ class ReductionVerification:
         }
 
 
-def _weighted_jacobian_exact(
-    F: PolynomialMapping, x: Sequence[Fraction]
-) -> list[list[Fraction]]:
-    """Matrix [x_j * df_i/dx_j (x)], exact."""
-    n = F.num_vars
-    rows = []
-    for f in F.components:
-        row = []
-        for j in range(n):
-            total = Fraction(0)
-            for e, c in f.terms:
-                if e[j] == 0:
-                    continue
-                term = c * e[j]
-                for l, k in enumerate(e):
-                    if k:
-                        term *= Fraction(x[l]) ** k
-                total += term
-            row.append(total)
-        rows.append(row)
-    return rows
-
-
 def verify_reduction(
     R: ReducedMapping, sample_count: int = 100, seed: int = 0
 ) -> ReductionVerification:
@@ -548,8 +517,8 @@ def verify_reduction(
                 break
         if ok_value:
             value_passes += 1
-        lhs_rank = rank(_weighted_jacobian_exact(R.shifted, x))
-        reduced_jac = _weighted_jacobian_exact(R.reduced, u_prime)
+        lhs_rank = rank([f.weighted_gradient_exact(x) for f in R.shifted.components])
+        reduced_jac = [g.weighted_gradient_exact(u_prime) for g in R.reduced.components]
         rows = []
         for i in range(len(R.shifted.components)):
             g_val = R.reduced.components[i].evaluate_exact(u_prime)

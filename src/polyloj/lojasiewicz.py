@@ -604,10 +604,6 @@ def _candidate_exponents(
     return [q for q in ordered if min(q) < 0]
 
 
-def _structural_zero(profile_terms: dict[int, list], m: int) -> bool:
-    return m not in profile_terms
-
-
 def _conditions_hold(
     g: Polynomial,
     h: Polynomial,

@@ -4,10 +4,17 @@ A mapping F = (f_1..f_p), p <= n, fails the face condition when some tuple
 of faces Delta_i = Delta(q, Gamma(f_i)), exposed by a common covector q with
 all d(q, Gamma(f_i)) < 0, has a point x in (R*)^n where every face polynomial
 vanishes and the weighted Jacobian (x_j df_i/dx_j) drops rank below p.
-This module enumerates those face systems and decides emptiness: exactly in
-two variables (via univariate root counting), by certified witness search
-otherwise.  Full non-degeneracy quantifies the same condition over every
-nonempty sub-tuple of components.
+Full non-degeneracy quantifies the same condition over every nonempty
+sub-tuple of components.
+
+The work splits along what it depends on.  A NondegeneracyPlan depends on
+the supports only: it builds each Newton polyhedron once and enumerates the
+negative face tuples of the requested sub-tuples.  Its decide() takes the
+coefficients, forms the face systems and decides each one: exactly in two
+variables (via univariate root counting), by certified witness search
+otherwise.  khovanskii_check plans the full tuple, nondegenerate_at_infinity
+every sub-tuple, and the genericity experiments reuse one plan for all
+their coefficient draws.
 """
 
 from __future__ import annotations
@@ -138,11 +145,10 @@ def face_rank_matrix(system: FaceSystem, x: Sequence, form: str = "plain"):
     rows = []
     for i, fp in enumerate(system.face_polys):
         if exact:
-            pt = [Fraction(v) for v in x]
-            row = [pt[j] * fp.partial(j + 1).evaluate_exact(pt) for j in range(n)]
+            row = fp.weighted_gradient_exact(x)
             if form == "augmented":
                 row += [
-                    fp.evaluate_exact(pt) if k == i else Fraction(0)
+                    fp.evaluate_exact(x) if k == i else Fraction(0)
                     for k in range(len(system.face_polys))
                 ]
         else:
@@ -337,7 +343,8 @@ def _point_from_parameter(w: tuple[int, int], y) -> tuple:
     """Some x in (R*)^2 with x^w = y, for y != 0.  Rational y gives a
     rational point.  w is primitive, so exponents come from a Bezout pair."""
     g, a1, a2 = _ext_gcd(w[0], w[1])
-    assert g == 1
+    if g != 1:
+        raise ArithmeticError(f"edge direction {w} is not primitive")
     mag = abs(y) if isinstance(y, Fraction) else abs(float(y))
     coords = [mag**a1, mag**a2]
     if y > 0:
@@ -358,7 +365,8 @@ def _witness_evidence(system: FaceSystem, w: tuple[int, int], g_poly) -> Evidenc
         y = exact_roots[0]
         x = _point_from_parameter(w, y)
         ok, info = check_witness(system, x)
-        assert ok, "exact witness failed its own re-check"
+        if not ok:
+            raise ArithmeticError("exact witness failed its own re-check")
         return Evidence(
             kind="Witness",
             witness=tuple(float(v) for v in x),
@@ -367,7 +375,8 @@ def _witness_evidence(system: FaceSystem, w: tuple[int, int], g_poly) -> Evidenc
             minor_max=info["minor_max"],
         )
     intervals = isolate_real_roots(g_poly)
-    assert intervals, "root count and isolation disagree"
+    if not intervals:
+        raise ArithmeticError("root count and isolation disagree")
     y = refine_root(g_poly, intervals[0], iterations=120)
     x = _point_from_parameter(w, y)
     ok, info = check_witness(system, x)
@@ -615,58 +624,81 @@ def _decide_system(
     return Evidence(kind="SearchExhausted", trials=attempts)
 
 
-def _check_sub_mapping(
-    F: PolynomialMapping,
-    indices: Sequence[int],
-    mode: str,
-    attempts: int,
-    seed: int,
-    enum_mode: str,
-    sample_budget: int,
-) -> tuple[list[TupleEntry], bool]:
-    gammas = [newton_polyhedron(F[i - 1]) for i in indices]
-    enumeration = enumerate_negative_face_tuples(
-        gammas, mode=enum_mode, sample_budget=sample_budget, seed=seed
-    )
-    entries = []
-    for face_tuple in enumeration:
-        system = face_system(F, indices, face_tuple)
-        evidence = _decide_system(system, mode, attempts, seed)
-        entries.append(TupleEntry(system=system, evidence=evidence))
-    return entries, enumeration.complete
+def component_subtuples(p: int) -> list[tuple[int, ...]]:
+    """Every nonempty sub-tuple of the components 1..p (1-based), by size,
+    then lexicographically: the sub-mappings full non-degeneracy ranges
+    over."""
+    return [
+        indices
+        for size in range(1, p + 1)
+        for indices in itertools.combinations(range(1, p + 1), size)
+    ]
 
 
-def _aggregate(entries: Sequence[TupleEntry], complete: bool, mode_label: str):
-    verdict = "NonDegenerate"
-    failing = None
-    for entry in entries:
-        if entry.evidence.kind == "Witness":
+class NondegeneracyPlan:
+    """The support-only part of the checker.
+
+    It builds each component's Newton polyhedron once and enumerates the
+    negative face tuples of every requested sub-tuple of components
+    (`subsets`, 1-based).  Only decide() looks at coefficients, so one plan
+    serves every mapping with these supports.  Exact enumeration needs
+    n <= 4; by default larger n samples covectors, and a sampled plan is
+    incomplete, so it never proves NonDegenerate.
+    """
+
+    def __init__(
+        self,
+        supports: Sequence,
+        subsets: Sequence[Sequence[int]],
+        enum_mode: Optional[str] = None,
+        sample_budget: int = 20000,
+        seed: int = 0,
+    ):
+        gammas = [newton_polyhedron(z) for z in supports]
+        n = gammas[0].ambient_dim
+        if len(gammas) > n:
+            raise ValueError("the mapping has more components than variables")
+        if enum_mode is None:
+            enum_mode = "auto" if n <= 4 else "sampled"
+        self.complete = True
+        self.tuples: list[tuple[tuple[int, ...], FaceTuple]] = []
+        for indices in subsets:
+            enumeration = enumerate_negative_face_tuples(
+                [gammas[i - 1] for i in indices],
+                mode=enum_mode,
+                sample_budget=sample_budget,
+                seed=seed,
+            )
+            self.complete = self.complete and enumeration.complete
+            self.tuples.extend((tuple(indices), ft) for ft in enumeration)
+
+    def decide(
+        self, F: PolynomialMapping, mode: str, attempts: int, seed: int
+    ) -> NondegeneracyReport:
+        """Decide every face system of F, a mapping with the plan's supports."""
+        if mode not in ("auto", "exact", "search"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "exact" and F.num_vars != 2:
+            raise ValueError("exact decisions are only available in two variables")
+        entries = []
+        for indices, face_tuple in self.tuples:
+            system = face_system(F, indices, face_tuple)
+            evidence = _decide_system(system, mode, attempts, seed)
+            entries.append(TupleEntry(system=system, evidence=evidence))
+        witnesses = [e for e in entries if e.evidence.kind == "Witness"]
+        if witnesses:
             verdict = "Degenerate"
-            failing = entry.system.subset
-            break
-    if verdict != "Degenerate":
-        undecided = any(e.evidence.kind == "SearchExhausted" for e in entries)
-        if undecided or not complete:
+        elif self.complete and all(e.evidence.passed for e in entries):
+            verdict = "NonDegenerate"
+        else:
             verdict = "Undecided"
-    return NondegeneracyReport(
-        verdict=verdict,
-        mode=mode_label,
-        entries=tuple(entries),
-        complete=complete,
-        failing_subset=failing,
-    )
-
-
-def _validate_args(F: PolynomialMapping, mode: str) -> str:
-    if len(F) > F.num_vars:
-        raise ValueError("the mapping has more components than variables")
-    if mode not in ("auto", "exact", "search"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and F.num_vars != 2:
-        raise ValueError("exact decisions are only available in two variables")
-    if F.num_vars == 2 and mode != "search":
-        return "Exact2D"
-    return "WitnessSearch"
+        return NondegeneracyReport(
+            verdict=verdict,
+            mode="Exact2D" if F.num_vars == 2 and mode != "search" else "WitnessSearch",
+            entries=tuple(entries),
+            complete=self.complete,
+            failing_subset=witnesses[0].system.subset if witnesses else None,
+        )
 
 
 def khovanskii_check(
@@ -679,14 +711,9 @@ def khovanskii_check(
 ) -> NondegeneracyReport:
     """Face condition for the full tuple (f_1..f_p): every negative face
     tuple must have an empty degeneracy locus in (R*)^n."""
-    mode_label = _validate_args(F, mode)
-    if enum_mode is None:
-        enum_mode = "auto" if F.num_vars <= 4 else "sampled"
-    indices = list(range(1, len(F) + 1))
-    entries, complete = _check_sub_mapping(
-        F, indices, mode, attempts, seed, enum_mode, sample_budget
-    )
-    return _aggregate(entries, complete, mode_label)
+    full = [tuple(range(1, len(F) + 1))]
+    plan = NondegeneracyPlan(F, full, enum_mode, sample_budget, seed)
+    return plan.decide(F, mode, attempts, seed)
 
 
 def nondegenerate_at_infinity(
@@ -698,16 +725,6 @@ def nondegenerate_at_infinity(
     sample_budget: int = 20000,
 ) -> NondegeneracyReport:
     """Face condition over every nonempty sub-tuple of components."""
-    mode_label = _validate_args(F, mode)
-    if enum_mode is None:
-        enum_mode = "auto" if F.num_vars <= 4 else "sampled"
-    all_entries: list[TupleEntry] = []
-    complete = True
-    for size in range(1, len(F) + 1):
-        for indices in itertools.combinations(range(1, len(F) + 1), size):
-            entries, sub_complete = _check_sub_mapping(
-                F, indices, mode, attempts, seed, enum_mode, sample_budget
-            )
-            all_entries.extend(entries)
-            complete = complete and sub_complete
-    return _aggregate(all_entries, complete, mode_label)
+    subsets = component_subtuples(len(F))
+    plan = NondegeneracyPlan(F, subsets, enum_mode, sample_budget, seed)
+    return plan.decide(F, mode, attempts, seed)

@@ -237,22 +237,16 @@ def d_and_face(
 
 
 def is_convenient(gamma: NewtonPolyhedron) -> bool:
-    """True iff the polyhedron meets every coordinate axis away from 0.
+    """True iff the polyhedron meets every coordinate axis away from 0."""
+    return not missing_axes(gamma)
+
+
+def missing_axes(gamma: NewtonPolyhedron) -> tuple[int, ...]:
+    """1-based axes not met away from the origin (empty iff convenient).
 
     Support points are nonnegative, so a convex combination lies on axis j
     only if every contributor does; it is enough to scan the generators.
     """
-    n = gamma.ambient_dim
-    hit = [False] * n
-    for p in gamma.generators:
-        nonzero = [j for j, c in enumerate(p) if c != 0]
-        if len(nonzero) == 1:
-            hit[nonzero[0]] = True
-    return all(hit)
-
-
-def missing_axes(gamma: NewtonPolyhedron) -> tuple[int, ...]:
-    """1-based axes not met away from the origin (empty iff convenient)."""
     n = gamma.ambient_dim
     hit = [False] * n
     for p in gamma.generators:

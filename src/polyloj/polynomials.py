@@ -202,6 +202,23 @@ class Polynomial:
             tuple(self.partial(j) for j in range(1, self.num_vars + 1))
         )
 
+    def weighted_gradient_exact(self, point: Sequence[Fraction | int]) -> list[Fraction]:
+        """The row (x_j df/dx_j)(x), j = 1..n, of the weighted Jacobian, exact:
+        each term c x^kappa contributes kappa_j c x^kappa to entry j."""
+        if len(point) != self.num_vars:
+            raise PolynomialError("point dimension mismatch")
+        pt = [Fraction(v) for v in point]
+        row = [Fraction(0)] * self.num_vars
+        for e, c in self.terms:
+            term = c
+            for v, k in zip(pt, e):
+                if k:
+                    term *= v**k
+            for j, k in enumerate(e):
+                if k:
+                    row[j] += k * term
+        return row
+
     # -- evaluation --------------------------------------------------------
 
     def evaluate_exact(self, point: Sequence[Fraction | int]) -> Fraction:

@@ -170,6 +170,25 @@ def test_khovanskii_pinned_degenerate():
     witnesses = report.witness_entries()
     assert witnesses
     assert witnesses[0].evidence.witness_exact == ("1", "1")
+    for G in (
+        F,
+        PolynomialMapping(
+            (parse_polynomial("(x1 - x2)^2", 2), parse_polynomial("x1^2 + x2^2", 2))
+        ),
+    ):
+        full = tuple(range(1, len(G) + 1))
+        every = nondegenerate_at_infinity(G).entries
+        assert khovanskii_check(G).entries == tuple(
+            e for e in every if e.system.subset == full
+        )
+
+
+def test_invariant_failures_raise():
+    # Explicit raises, not asserts: they hold under python -O too.
+    from polyloj.nondegeneracy import _point_from_parameter
+
+    with pytest.raises(ArithmeticError, match="not primitive"):
+        _point_from_parameter((2, 4), Fraction(1))
 
 
 def test_monomials_always_nondegenerate():
