@@ -15,6 +15,8 @@ import traceback
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .genericity import genericity_trial
 from .lattice import (
     affine_support_covectors,
@@ -552,6 +554,10 @@ def main(argv=None) -> int:
         command, config, inputs, result = args.func(args)
     except SystemExit:
         raise
+    except np.linalg.LinAlgError:
+        # A ValueError subclass, but raised by the numerics, not by input.
+        traceback.print_exc()
+        return 2
     except (ValueError, FitError, OSError) as exc:
         sys.stderr.write(f"usage error: {exc}\n\n{GRAMMAR}")
         return 1

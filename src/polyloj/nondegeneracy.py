@@ -226,7 +226,9 @@ class Evidence:
 
     kind: EmptyZeroSet (zero set empty in (R*)^n), FullRankEverywhere (zero
     set nonempty but rank never drops), Witness (degeneracy point found),
-    SearchExhausted (numerical search gave up: undecided).
+    SearchExhausted (numerical search gave up: undecided; best_residual is
+    the smallest max-abs residual entry any start ended at, solver_errors
+    the number of starts whose solver call raised).
     """
 
     kind: str
@@ -236,6 +238,8 @@ class Evidence:
     residual_norm: float = 0.0
     minor_max: float = 0.0
     trials: int = 0
+    best_residual: Optional[float] = None
+    solver_errors: int = 0
 
     @property
     def passed(self) -> Optional[bool]:
@@ -257,6 +261,8 @@ class Evidence:
             data["witness_exact"] = list(self.witness_exact)
         if self.kind == "SearchExhausted":
             data["trials"] = self.trials
+            data["best_residual"] = self.best_residual
+            data["solver_errors"] = self.solver_errors
         return data
 
 
@@ -466,49 +472,148 @@ def _sign_uniform_on_all_sheets(fp: Polynomial) -> bool:
     return True
 
 
-def _term_magnitudes(system: FaceSystem, xf: Sequence[float]) -> list[float]:
-    """Per component, the largest |c_kappa x^kappa| over the terms: the
-    natural scale against which a residual counts as an actual zero."""
-    out = []
-    for fp in system.face_polys:
-        best = 0.0
-        for kappa, coeff in fp.terms:
-            mag = abs(float(coeff))
-            for v, k in zip(xf, kappa):
-                if k:
-                    mag *= abs(v) ** k
-            best = max(best, mag)
-        out.append(best)
-    return out
+class _FaceKernel:
+    """A face system compiled once for float evaluation.
+
+    Every term t of every face polynomial is one row: integer exponents
+    E_t, a float coefficient c_t and its component.  Everything derives
+    from the monomial vector m_t = c_t x^E_t: the face values are the
+    component sums of m, the weighted Jacobian is J_ij = sum_t E_tj m_t,
+    and the p x p minors are one batched determinant.  In the search's log
+    coordinates x = sigma exp(s), dm_t/ds_k = E_tk m_t, so J is also the
+    derivative of the face values in s, and dJ_ij/ds_k = sum_t E_tj E_tk m_t.
+    """
+
+    def __init__(self, system: FaceSystem):
+        polys = system.face_polys
+        self.n = system.num_vars
+        self.p = len(polys)
+        terms = [(i, kappa, c) for i, fp in enumerate(polys) for kappa, c in fp.terms]
+        self.exps = np.array([kappa for _, kappa, _ in terms], dtype=np.int64)
+        self.coeffs = np.array([float(c) for _, _, c in terms])
+        self.owner = np.zeros((self.p, len(terms)))
+        self.owner[[i for i, _, _ in terms], np.arange(len(terms))] = 1.0
+        self.combos = np.array(list(itertools.combinations(range(self.n), self.p)))
+        # A minor is scaled by the product of max(deg f_i, 1) * max_t |m_t|.
+        self.row_weights = np.array([max(fp.total_degree(), 1) for fp in polys])
+        self._exps_f = self.exps.astype(float)
+        self._exps_outer = np.einsum("tj,tk->tjk", self._exps_f, self._exps_f).reshape(
+            len(terms), -1
+        )
+        self._last: Optional[tuple] = None
+
+    def monomials(self, x) -> np.ndarray:
+        """m at a point x of R^n; zero coordinates are allowed."""
+        return self.coeffs * np.prod(np.asarray(x, dtype=float) ** self.exps, axis=1)
+
+    def sheet_coeffs(self, sheet) -> np.ndarray:
+        """The coefficients times the sign of x^E_t on the sheet sigma."""
+        odd = self.exps[:, np.asarray(sheet) < 0].sum(axis=1) % 2
+        return self.coeffs * (1 - 2 * odd)
+
+    def log_monomials(self, s: np.ndarray, signed: np.ndarray) -> np.ndarray:
+        """m at x = sigma exp(s), with signed = sheet_coeffs(sigma).  The
+        last s is remembered, so a residual and its Jacobian at one point
+        share the exponentials."""
+        last = self._last
+        if last is None or last[1] is not signed or not np.array_equal(last[0], s):
+            last = self._last = (s.copy(), signed, signed * np.exp(self._exps_f @ s))
+        return last[2]
+
+    def values(self, m: np.ndarray) -> np.ndarray:
+        return self.owner @ m
+
+    def scales(self, m: np.ndarray) -> np.ndarray:
+        """Per component, the largest |c_t x^E_t|: the natural scale
+        against which a residual counts as an actual zero."""
+        return np.max(self.owner * np.abs(m), axis=1)
+
+    def weighted_jacobian(self, m: np.ndarray) -> np.ndarray:
+        return self.owner @ (self._exps_f * m[:, None])
+
+    def minors(self, jac: np.ndarray) -> np.ndarray:
+        """Every p x p minor of jac, in itertools.combinations column order."""
+        return np.linalg.det(jac[:, self.combos].swapaxes(0, 1))
+
+    def residual(self, m: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.values(m), self.minors(self.weighted_jacobian(m))])
+
+    def residual_jacobian(self, m: np.ndarray) -> np.ndarray:
+        """d(residual)/ds.  A minor's derivative follows Jacobi's rule: the
+        sum over rows r of the determinant with row r replaced by its
+        derivative, which holds for singular submatrices too."""
+        n, p = self.n, self.p
+        jac = self.weighted_jacobian(m)
+        hess = ((self.owner * m) @ self._exps_outer).reshape(p, n, n)
+        blocks = jac[:, self.combos].swapaxes(0, 1)
+        k = len(self.combos)
+        mats = np.broadcast_to(blocks[:, None, None], (k, p, n, p, p)).copy()
+        for r in range(p):
+            mats[:, r, :, r, :] = hess[r][self.combos].transpose(0, 2, 1)
+        return np.vstack([jac, np.linalg.det(mats).sum(axis=1)])
+
+    def log_residual(self, s: np.ndarray, signed: np.ndarray) -> np.ndarray:
+        return self.residual(self.log_monomials(s, signed))
+
+    def log_residual_jacobian(self, s: np.ndarray, signed: np.ndarray) -> np.ndarray:
+        return self.residual_jacobian(self.log_monomials(s, signed))
 
 
-def _boundary_explains(system: FaceSystem, x: Sequence[float]) -> bool:
+def _boundary_explains(kernel: _FaceKernel, x: np.ndarray) -> bool:
     """True when zeroing every near-axis coordinate of x still leaves all
     face residuals at noise level: the candidate then approximates a zero
     on the orthant boundary, which is outside (R*)^n, not a witness."""
-    biggest = max(abs(v) for v in x)
-    cutoff = SMALL_COORD_FACTOR * (1.0 + biggest)
-    small = {j for j, v in enumerate(x) if abs(v) < cutoff}
-    if not small:
+    mags = np.abs(x)
+    small = mags < SMALL_COORD_FACTOR * (1.0 + mags.max())
+    if not small.any():
         return False
-    y = [0.0 if j in small else float(v) for j, v in enumerate(x)]
-    mags = _term_magnitudes(system, y)
-    vals = [fp.evaluate_float(y) for fp in system.face_polys]
-    return all(
-        abs(v) <= REL_RESIDUAL_TOL * max(m, 1e-300)
-        for v, m in zip(vals, mags)
-    )
+    m = kernel.monomials(np.where(small, 0.0, x))
+    floor = np.maximum(kernel.scales(m), 1e-300)
+    return bool(np.all(np.abs(kernel.values(m)) <= REL_RESIDUAL_TOL * floor))
+
+
+def _float_candidate(kernel: _FaceKernel, x: np.ndarray) -> bool:
+    """The float acceptance filters: residuals small relative to the largest
+    term magnitude, minors small relative to the product of row scales,
+    and no zero on the orthant boundary that explains the candidate."""
+    with np.errstate(all="ignore"):
+        m = kernel.monomials(x)
+        mags = kernel.scales(m)
+        if np.any(mags == 0.0) or np.any(np.abs(kernel.values(m)) > REL_RESIDUAL_TOL * mags):
+            return False
+        minors = np.abs(kernel.minors(kernel.weighted_jacobian(m)))
+        if np.max(minors, initial=0.0) > REL_MINOR_TOL * np.prod(kernel.row_weights * mags):
+            return False
+        return not _boundary_explains(kernel, x)
+
+
+@dataclass
+class SearchStats:
+    """What a witness search saw on starts that found no witness: the
+    smallest max-abs residual entry over their end points (None when no
+    start finished) and how many least-squares calls raised."""
+
+    best_residual: Optional[float] = None
+    solver_errors: int = 0
 
 
 def witness_search(
-    system: FaceSystem, attempts: int = 5000, seed: int = 0
+    system: FaceSystem,
+    attempts: int = 5000,
+    seed: int = 0,
+    stats: Optional[SearchStats] = None,
 ) -> Optional[Evidence]:
     """Multi-start least-squares hunt for a degeneracy witness.
 
     Each sheet of (R*)^n is parametrized by x_j = sigma_j exp(s_j); the
     residual stacks the face polynomials with every p x p minor of the
-    weighted Jacobian.  Accepted witnesses pass check_witness; rational
-    snapping is attempted so clean witnesses come back exact.
+    weighted Jacobian.  The system is compiled once per call into a
+    _FaceKernel, which gives the residual and its closed-form Jacobian in
+    s to least_squares.  Accepted witnesses pass check_witness, which
+    re-evaluates on its own exact and compensated evaluators; rational
+    snapping is attempted so clean witnesses come back exact.  When no
+    witness is found the result is None, and stats (if given) receives
+    the best residual reached and the number of failed solver calls.
 
     A candidate whose infimum is approached only toward the coordinate
     axes (or toward infinity) is not a zero of the system on (R*)^n even
@@ -520,45 +625,38 @@ def witness_search(
     from scipy.optimize import least_squares
 
     n = system.num_vars
-    p = len(system.face_polys)
-    sheets = list(itertools.product((1.0, -1.0), repeat=n))
-    grads = [
-        [fp.partial(j + 1) for j in range(n)] for fp in system.face_polys
-    ]
-    combos = list(itertools.combinations(range(n), p))
-
-    def residual(s: np.ndarray, sheet) -> np.ndarray:
-        x = np.asarray(sheet) * np.exp(s)
-        pt = [float(v) for v in x]
-        vals = [fp.evaluate_float(pt) for fp in system.face_polys]
-        jac = [
-            [pt[j] * grads[i][j].evaluate_float(pt) for j in range(n)]
-            for i in range(p)
-        ]
-        minors = [
-            float(np.linalg.det(np.array([[jac[i][c] for c in cols] for i in range(p)])))
-            for cols in combos
-        ]
-        return np.array(vals + minors)
+    sheets = [np.array(sheet) for sheet in itertools.product((1.0, -1.0), repeat=n)]
+    kernel = _FaceKernel(system)
+    if stats is None:
+        stats = SearchStats()
 
     for k in range(attempts):
         sheet = sheets[k % len(sheets)]
+        signed = kernel.sheet_coeffs(sheet)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, k])))
         s0 = rng.uniform(-3.0, 3.0, n)
         try:
-            result = least_squares(
-                residual,
-                s0,
-                args=(sheet,),
-                bounds=(-20.0, 20.0),
-                xtol=1e-14,
-                ftol=1e-14,
-                gtol=1e-14,
-                max_nfev=SEARCH_MAX_EVALS,
-            )
-        except Exception:
+            # Near the bounds terms can overflow to inf/nan residuals, which
+            # the solver rejects as a step or raises on as a start.
+            with np.errstate(all="ignore"):
+                result = least_squares(
+                    kernel.log_residual,
+                    s0,
+                    jac=kernel.log_residual_jacobian,
+                    args=(signed,),
+                    bounds=(-20.0, 20.0),
+                    xtol=1e-14,
+                    ftol=1e-14,
+                    gtol=1e-14,
+                    max_nfev=SEARCH_MAX_EVALS,
+                )
+        except (ValueError, ArithmeticError):
+            stats.solver_errors += 1
             continue
-        x = tuple(float(v) for v in np.asarray(sheet) * np.exp(result.x))
+        end_residual = float(np.max(np.abs(result.fun)))
+        if stats.best_residual is None or end_residual < stats.best_residual:
+            stats.best_residual = end_residual
+        x = tuple(float(v) for v in sheet * np.exp(result.x))
         for bound in (1, 12, 10**6):
             xr = tuple(Fraction(v).limit_denominator(bound) for v in x)
             if any(v == 0 for v in xr):
@@ -574,19 +672,7 @@ def witness_search(
                 )
         if any(abs(v) >= LOG_COORD_BOUND for v in result.x):
             continue  # infimum at the axes or at infinity, not a zero
-        mags = _term_magnitudes(system, x)
-        vals = [fp.evaluate_float(list(x)) for fp in system.face_polys]
-        if any(
-            abs(v) > REL_RESIDUAL_TOL * m for v, m in zip(vals, mags)
-        ) or any(m == 0.0 for m in mags):
-            continue
-        minor_scale = 1.0
-        for fp, m in zip(system.face_polys, mags):
-            minor_scale *= max(fp.total_degree(), 1) * m
-        minors = [abs(float(v)) for v in _minors(system, x)]
-        if max(minors, default=0.0) > REL_MINOR_TOL * minor_scale:
-            continue
-        if _boundary_explains(system, x):
+        if not _float_candidate(kernel, np.array(x)):
             continue
         ok, info = check_witness(system, x)
         if ok:
@@ -618,10 +704,16 @@ def _decide_system(
         )
     if system.num_vars == 2 and mode != "search":
         return exact_check_2d(system)
-    found = witness_search(system, attempts=attempts, seed=seed)
+    stats = SearchStats()
+    found = witness_search(system, attempts=attempts, seed=seed, stats=stats)
     if found is not None:
         return found
-    return Evidence(kind="SearchExhausted", trials=attempts)
+    return Evidence(
+        kind="SearchExhausted",
+        trials=attempts,
+        best_residual=stats.best_residual,
+        solver_errors=stats.solver_errors,
+    )
 
 
 def component_subtuples(p: int) -> list[tuple[int, ...]]:

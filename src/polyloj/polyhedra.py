@@ -521,17 +521,34 @@ def _enumerate_exact_minkowski(gammas: Sequence[NewtonPolyhedron]) -> list[FaceT
 def _enumerate_sampled(
     gammas: Sequence[NewtonPolyhedron], budget: int, seed: int
 ) -> list[FaceTuple]:
+    """Face tuples of `budget` random covectors q in [-6, 6]^n, keeping the
+    first covector that reaches each tuple.  The values <q, v> at every
+    vertex are one int64 product per polyhedron; a draw's tuple is fixed by
+    which vertices attain the minimum, so only the first draw of each new
+    vertex pattern with all minima negative is turned into a FaceTuple."""
     rng = np.random.Generator(np.random.PCG64(seed))
     n = gammas[0].ambient_dim
-    found: dict[tuple, FaceTuple] = {}
-    for _ in range(budget):
-        q = tuple(int(v) for v in rng.integers(-6, 7, size=n))
-        if all(v == 0 for v in q):
-            continue
-        ft = _tuple_from_witness(q, gammas)
-        if ft is not None:
-            found.setdefault(ft.key(), ft)
-    return list(found.values())
+    largest = max(abs(c) for g in gammas for v in g.vertices for c in v)
+    if 6 * n * largest >= 2**63:
+        raise ValueError("exponents too large for sampled enumeration")
+    draws = [rng.integers(-6, 7, size=n) for _ in range(budget)]
+    qs = np.array(draws, dtype=np.int64).reshape(budget, n)
+    keep = qs.any(axis=1)
+    masks = []
+    for g in gammas:
+        values = qs @ np.array(g.vertices, dtype=np.int64).T
+        least = values.min(axis=1)
+        keep &= least < 0
+        masks.append(values == least[:, None])
+    pattern = np.concatenate(masks, axis=1)[keep]
+    _, first = np.unique(pattern, axis=0, return_index=True)
+    found = []
+    for row in np.flatnonzero(keep)[np.sort(first)]:
+        ft = _tuple_from_witness(tuple(int(v) for v in qs[row]), gammas)
+        if ft is None:
+            raise ArithmeticError("sampled covector failed verification")
+        found.append(ft)
+    return found
 
 
 def enumerate_negative_face_tuples(

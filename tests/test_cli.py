@@ -244,6 +244,26 @@ def test_internal_failure_exits_two(monkeypatch, capsys):
     assert "RuntimeError: probe exploded" in err
 
 
+def test_linear_algebra_failure_exits_two(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError; it is an internal failure all the
+    # same, not a usage error.
+    import numpy as np
+
+    import polyloj.nondegeneracy as nondegeneracy
+
+    def explode(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(nondegeneracy, "witness_search", explode)
+    code, out, err = run(
+        ["check-nondegenerate", "--text", "(x1 - x2)^2 + x3^2", "--n", "3"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "LinAlgError: SVD did not converge" in err
+    assert "usage error" not in err
+
+
 SMOKE_CASES = [
     ("polyhedron", ["polyhedron", "--text", G32, "--n", "2"]),
     ("convenient", ["convenient", "--text", G32, "--n", "2"]),

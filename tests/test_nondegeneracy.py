@@ -1,13 +1,24 @@
 """The face rank condition at infinity: exact two-variable decisions,
 numerical witness searches, and the aggregate verdicts."""
 
+import itertools
+import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import jsonschema
+import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
 import util
 from polyloj import (
     FaceSystem,
+    Polynomial,
     PolynomialMapping,
     check_witness,
     exact_check_2d,
@@ -20,13 +31,19 @@ from polyloj import (
     witness_search,
 )
 from polyloj.linalg import rank
+from polyloj.nondegeneracy import SearchStats, _FaceKernel
 from polyloj.polyhedra import d_and_face, newton_polyhedron
 from polyloj.polynomials import face_part
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def system_for(texts, n, q):
     """FaceSystem of the faces exposed by q over the full tuple."""
-    polys = [parse_polynomial(t, n) for t in texts]
+    return system_of([parse_polynomial(t, n) for t in texts], q)
+
+
+def system_of(polys, q):
     faces = []
     degrees = []
     parts = []
@@ -161,6 +178,147 @@ def test_witness_search_finds_embedded_degeneracy():
     assert ok
 
 
+def random_form(rnd, n, degree, terms):
+    """A homogeneous polynomial: its face for q = (-1, ..., -1) is itself."""
+    exps = set()
+    while len(exps) < min(terms, math.comb(degree + n - 1, n - 1)):
+        cuts = sorted(rnd.randint(0, degree) for _ in range(n - 1))
+        exps.add(tuple(b - a for a, b in zip([0] + cuts, cuts + [degree])))
+    return Polynomial.from_dict(
+        n, {e: Fraction(rnd.choice([-5, -2, -1, 1, 3, 7]), rnd.randint(1, 4)) for e in exps}
+    )
+
+
+KERNEL_SHAPES = [(2, 1), (3, 1), (3, 2), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("n,p", KERNEL_SHAPES)
+def test_kernel_jacobian_matches_finite_differences(n, p):
+    rnd = util.make_rng(610 + 10 * n + p)
+    for _ in range(10):
+        polys = [random_form(rnd, n, rnd.randint(2, 5), rnd.randint(2, 4)) for _ in range(p)]
+        kernel = _FaceKernel(system_of(polys, (-1,) * n))
+        signed = kernel.sheet_coeffs(np.array([rnd.choice([1.0, -1.0]) for _ in range(n)]))
+        s = np.array([rnd.uniform(-1.0, 1.0) for _ in range(n)])
+        analytic = kernel.log_residual_jacobian(s, signed)
+        numeric = approx_derivative(
+            lambda t: kernel.log_residual(t, signed), s, method="3-point"
+        )
+        assert analytic.shape == (p + math.comb(n, p), n)
+        np.testing.assert_allclose(
+            analytic, numeric, rtol=1e-6, atol=1e-9 * np.abs(numeric).max()
+        )
+
+
+@pytest.mark.parametrize("n,p", KERNEL_SHAPES)
+def test_kernel_matches_scalar_evaluators(n, p):
+    rnd = util.make_rng(620 + 10 * n + p)
+    for _ in range(10):
+        polys = [random_form(rnd, n, rnd.randint(2, 5), rnd.randint(2, 4)) for _ in range(p)]
+        system = system_of(polys, (-1,) * n)
+        kernel = _FaceKernel(system)
+        x = [rnd.choice([1.0, -1.0]) * rnd.uniform(0.3, 3.0) for _ in range(n)]
+        m = kernel.monomials(x)
+        np.testing.assert_allclose(
+            kernel.values(m), [fp.evaluate_float(x) for fp in system.face_polys], rtol=1e-12
+        )
+        rows = face_rank_matrix(system, x)
+        np.testing.assert_allclose(kernel.weighted_jacobian(m), rows, rtol=1e-12)
+        minors = [
+            np.linalg.det(np.array([[row[c] for c in cols] for row in rows]))
+            for cols in itertools.combinations(range(n), p)
+        ]
+        np.testing.assert_allclose(
+            kernel.minors(kernel.weighted_jacobian(m)), minors, rtol=1e-12
+        )
+        # Log coordinates describe the same point.
+        sheet = np.sign(x)
+        s = np.log(np.abs(x))
+        np.testing.assert_allclose(
+            kernel.log_residual(s, kernel.sheet_coeffs(sheet)),
+            np.concatenate([kernel.values(m), minors]),
+            rtol=1e-12,
+        )
+
+
+def test_witness_search_at_the_parametrization_bounds(monkeypatch):
+    # Degree-8 faces with starts moved to the corners s = +-19.9 of the
+    # search box, where the terms reach exp(+-160) and three-row minors
+    # overflow: every start either runs, or fails inside the solver and is
+    # counted; the search itself never raises.
+    import scipy.optimize
+
+    original = scipy.optimize.least_squares
+    corners = itertools.cycle(itertools.product((19.9, -19.9), repeat=3))
+    ends = []
+
+    def from_corner(fun, s0, **kwargs):
+        result = original(fun, np.array(next(corners)), **kwargs)
+        ends.append(result.x)
+        return result
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", from_corner)
+    for texts in [
+        ["x1^8 + x2^8 + x3^8"],
+        ["x1^8 + x1^4*x2^4 - x2^2*x3^6", "x1^8 + x2^8 + x3^8"],
+        ["x1^8 - x2^8", "x1^2*x2^6 + x3^8", "x1^8 + x2^4*x3^4"],
+    ]:
+        system = system_for(texts, 3, (-1, -1, -1))
+        stats = SearchStats()
+        found = witness_search(system, attempts=16, seed=1, stats=stats)
+        if found is not None:
+            assert check_witness(system, found.witness)[0]
+        else:
+            assert stats.best_residual is not None
+    assert sum(np.max(np.abs(s)) >= 19.5 for s in ends) >= 10
+
+
+def test_search_exhausted_reports_best_residual(monkeypatch):
+    import scipy.optimize
+
+    schema = json.loads((ROOT / "schemas" / "nondegeneracy.v1.schema.json").read_text())
+    # A cone: the zero set is nonempty but the rank never drops on it.
+    F = PolynomialMapping((parse_polynomial("x1^2 + x2^2 - x3^2", 3),))
+    report = nondegenerate_at_infinity(F, attempts=6, seed=0)
+    exhausted = [e.evidence for e in report.entries if e.evidence.kind == "SearchExhausted"]
+    assert exhausted
+    for evidence in exhausted:
+        assert evidence.solver_errors == 0
+        assert 0.0 <= evidence.best_residual < float("inf")
+        data = evidence.to_json()
+        assert data["best_residual"] == evidence.best_residual
+        assert data["solver_errors"] == 0
+    jsonschema.validate(report.to_json(), schema)
+
+    original = scipy.optimize.least_squares
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) % 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", flaky)
+    report = nondegenerate_at_infinity(F, attempts=6, seed=0)
+    for entry in report.entries:
+        if entry.evidence.kind == "SearchExhausted":
+            assert entry.evidence.solver_errors == 3
+            assert entry.evidence.best_residual is not None
+
+    def broken(*args, **kwargs):
+        raise ValueError("Residuals are not finite in the initial point.")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", broken)
+    report = nondegenerate_at_infinity(F, attempts=4, seed=0)
+    exhausted = [e.evidence for e in report.entries if e.evidence.kind == "SearchExhausted"]
+    assert exhausted
+    for evidence in exhausted:
+        assert evidence.solver_errors == 4
+        assert evidence.to_json()["best_residual"] is None
+    jsonschema.validate(report.to_json(), schema)
+
+
 def test_khovanskii_pinned_degenerate():
     F = PolynomialMapping((parse_polynomial("(x1 - x2)^2", 2),))
     report = khovanskii_check(F)
@@ -189,6 +347,25 @@ def test_invariant_failures_raise():
 
     with pytest.raises(ArithmeticError, match="not primitive"):
         _point_from_parameter((2, 4), Fraction(1))
+
+
+def test_invariant_failures_raise_under_optimize():
+    # python -O strips asserts; the invariant checks must survive it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    node = "tests/test_nondegeneracy.py::test_invariant_failures_raise"
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "1 passed" in done.stdout
 
 
 def test_monomials_always_nondegenerate():

@@ -4,6 +4,7 @@ Minkowski sums, face enumeration, and negative face tuples."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import util
@@ -283,6 +284,47 @@ def test_negative_tuples_sampled_subset_of_exact():
     assert sampled.method == "sampled"
     exact_keys = {ft.key() for ft in exact}
     assert {ft.key() for ft in sampled} <= exact_keys
+
+
+def _sampled_loop(gammas, budget, seed):
+    """Reference for the sampled enumeration: one exact d_and_face pass per
+    drawn covector, first covector per face tuple kept."""
+    from polyloj.polyhedra import _tuple_from_witness
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = gammas[0].ambient_dim
+    found = {}
+    for _ in range(budget):
+        q = tuple(int(v) for v in rng.integers(-6, 7, size=n))
+        if all(v == 0 for v in q):
+            continue
+        ft = _tuple_from_witness(q, gammas)
+        if ft is not None:
+            found.setdefault(ft.key(), ft)
+    return sorted(found.values(), key=lambda t: t.key())
+
+
+def test_negative_tuples_sampled_matches_loop():
+    rnd = util.make_rng(409)
+    for trial in range(12):
+        n = rnd.randint(2, 6)
+        gammas = [
+            newton_polyhedron(util.random_support(rnd, n, 5, 4))
+            for _ in range(rnd.randint(1, 3))
+        ]
+        sampled = enumerate_negative_face_tuples(
+            gammas, mode="sampled", sample_budget=400, seed=trial
+        )
+        expected = _sampled_loop(gammas, 400, trial)
+        assert [ft.to_json() for ft in sampled] == [ft.to_json() for ft in expected]
+    empty = enumerate_negative_face_tuples(gammas, mode="sampled", sample_budget=0)
+    assert len(empty) == 0
+
+
+def test_negative_tuples_sampled_rejects_int64_overflow():
+    huge = newton_polyhedron([(2**61, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
+    with pytest.raises(ValueError, match="too large"):
+        enumerate_negative_face_tuples([huge], mode="sampled", sample_budget=10)
 
 
 def test_negative_tuples_input_validation():
