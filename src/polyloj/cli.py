@@ -32,7 +32,13 @@ from .lojasiewicz import (
     multiplier,
     verify_inequality,
 )
-from .nondegeneracy import nondegenerate_at_infinity
+from .nondegeneracy import (
+    MINOR_TOL,
+    REL_MINOR_TOL,
+    REL_RESIDUAL_TOL,
+    RESIDUAL_TOL,
+    nondegenerate_at_infinity,
+)
 from .polyhedra import all_faces, is_convenient, missing_axes, newton_polyhedron
 from .polynomials import (
     Polynomial,
@@ -157,9 +163,15 @@ def cmd_check_nondegenerate(args):
     report = nondegenerate_at_infinity(
         F, mode=mode, attempts=args.budget, seed=args.seed, enum_mode=enum_mode
     )
+    tolerances = (
+        ("MINOR_TOL", MINOR_TOL),
+        ("REL_MINOR_TOL", REL_MINOR_TOL),
+        ("REL_RESIDUAL_TOL", REL_RESIDUAL_TOL),
+        ("RESIDUAL_TOL", RESIDUAL_TOL),
+    )
     return (
         "check-nondegenerate",
-        _config(args),
+        _config(args, attempts=args.budget, tolerances=tolerances),
         _named_inputs(F),
         report.to_json(),
     )

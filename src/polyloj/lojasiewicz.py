@@ -10,6 +10,12 @@ for a continuous factor f0.
 
 Estimates are one-sided: mu is approximated from below (it may be +inf),
 so fitted exponents are labelled fitted, never optimal.
+
+Every float value and gradient comes from polynomials.MonomialForm: each
+public call compiles what it needs once ((g, grad g, h, grad h), or just
+(g, h) for bulk samples) and takes the exact partial derivatives at that
+point.  Kahan evaluate_float is used only for the evidence samples of an
+escape curve, as an independent check of what the curve search found.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .polyhedra import enumerate_negative_face_tuples, newton_polyhedron
-from .polynomials import Polynomial
+from .polynomials import MonomialForm, Polynomial
 
 RATIO_TOL = 1e-9
 LEVEL_REL_TOL = 1e-12
@@ -38,10 +44,6 @@ class FitError(RuntimeError):
 
 def _seeded(parts: Sequence[int]) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(parts))))
-
-
-def _norm(x) -> float:
-    return math.sqrt(sum(float(v) ** 2 for v in x))
 
 
 # -- mu: supremum of |h| on a level set of |g| ---------------------------------
@@ -93,55 +95,57 @@ def _ray_for_task(index: int, n: int, seed: int) -> np.ndarray:
     return u / norm
 
 
-def _level_crossings(g: Polynomial, u: np.ndarray, t: float) -> list[float]:
-    """Radii r with |g(r u)| = t, located by sign change on a log grid and
-    bisection to relative tolerance LEVEL_REL_TOL."""
+def _with_gradients(*polys: Polynomial) -> MonomialForm:
+    """One form of each polynomial followed by its n partials: component
+    (n + 1) i is the i-th polynomial, the n after it its gradient."""
+    return MonomialForm([q for f in polys for q in (f, *f.gradient())])
+
+
+def _level_crossings(form: MonomialForm, u: np.ndarray, t: float) -> list[float]:
+    """Radii r with |g(r u)| = t, g the form's first component: sign changes
+    on a log grid, then the first four brackets bisected together to
+    relative tolerance LEVEL_REL_TOL."""
     rs = np.geomspace(1e-8, 1e8, 161)
-    pts = rs[:, None] * u[None, :]
-    vals = np.abs(g.evaluate_float_batch(pts)) - t
-    out = []
+    vals = np.abs(form.evaluate(rs[:, None] * u[None, :])[0]) - t
+    brackets = []  # [lo, hi, whether |g(lo u)| > t, still open]
     for k in range(len(rs) - 1):
         a, b = vals[k], vals[k + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            if np.isfinite(a) and a < 0 and b == np.inf:
-                pass  # crossing inside; bisect on the finite side
-            else:
-                continue
-        elif a == 0:
-            out.append(float(rs[k]))
-            continue
-        elif a * b >= 0:
-            continue
-        lo, hi = float(rs[k]), float(rs[k + 1])
-        flo = g.evaluate_float([lo * v for v in u])
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            fm = abs(g.evaluate_float([mid * v for v in u])) - t
-            if fm == 0:
-                lo = hi = mid
+        if a == 0 and np.isfinite(b):
+            brackets.append([float(rs[k]), float(rs[k]), False, False])
+        elif np.isfinite(a) and a * b < 0:  # b may be inf: bisect on the finite side
+            brackets.append([float(rs[k]), float(rs[k + 1]), a > 0, True])
+            if len(brackets) >= 4:
                 break
-            if (fm > 0) == ((abs(flo) - t) > 0):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= LEVEL_REL_TOL * lo:
-                break
-        out.append(math.sqrt(lo * hi))
-        if len(out) >= 4:
+    for _ in range(80):
+        live = [br for br in brackets if br[3]]
+        if not live:
             break
-    return out
+        mids = [math.sqrt(br[0] * br[1]) for br in live]
+        fms = np.abs(form.evaluate(np.multiply.outer(mids, u))[0]) - t
+        for br, mid, fm in zip(live, mids, fms):
+            if fm == 0:
+                br[0] = br[1] = mid
+            elif (fm > 0) == br[2]:
+                br[0] = mid
+            else:
+                br[1] = mid
+            br[3] = br[1] - br[0] > LEVEL_REL_TOL * br[0]
+    return [math.sqrt(lo * hi) for lo, hi, _, _ in brackets]
 
 
 def _project_to_level(
-    g: Polynomial, grad_g: list[Polynomial], x: np.ndarray, g0: float
-) -> Optional[np.ndarray]:
-    """Newton steps back onto {g = g0}; None when the projection stalls."""
+    form: MonomialForm, x: np.ndarray, g0: float
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Newton steps back onto {g = g0}: the point reached and the form's
+    values there, or None when the projection stalls."""
+    n = len(x)
     y = x.copy()
     for _ in range(30):
-        val = g.evaluate_float(list(y)) - g0
+        v = form.evaluate(y)
+        val = v[0] - g0
         if abs(val) <= 1e-10 * max(abs(g0), 1e-300):
-            return y
-        grad = np.array([p.evaluate_float(list(y)) for p in grad_g])
+            return y, v
+        grad = v[1 : n + 1]
         gg = float(grad @ grad)
         if gg < 1e-300 or not np.isfinite(gg) or not np.isfinite(val):
             return None
@@ -150,20 +154,19 @@ def _project_to_level(
 
 
 def _ascend_on_level(
-    g: Polynomial, h: Polynomial, x0: np.ndarray, iters: int = 60
+    form: MonomialForm, x0: np.ndarray, iters: int = 60
 ) -> tuple[float, np.ndarray]:
     """Projected gradient ascent of |h| along {g = g(x0)}."""
-    grad_g = [g.partial(j + 1) for j in range(g.num_vars)]
-    grad_h = [h.partial(j + 1) for j in range(h.num_vars)]
-    g0 = g.evaluate_float(list(x0))
+    n = len(x0)
+    v = form.evaluate(x0)
+    g0 = v[0]
     x = x0.copy()
-    best = abs(h.evaluate_float(list(x)))
+    best = abs(float(v[n + 1]))
     step = 0.1 * (1.0 + float(np.linalg.norm(x)))
     for _ in range(iters):
-        hv = h.evaluate_float(list(x))
-        sgn = 1.0 if hv >= 0 else -1.0
-        hg = sgn * np.array([p.evaluate_float(list(x)) for p in grad_h])
-        gg = np.array([p.evaluate_float(list(x)) for p in grad_g])
+        sgn = 1.0 if v[n + 1] >= 0 else -1.0
+        hg = sgn * v[n + 2 :]
+        gg = v[1 : n + 1]
         denom = float(gg @ gg)
         if denom < 1e-300:
             break
@@ -174,11 +177,12 @@ def _ascend_on_level(
         d = d / dn
         improved = False
         while step > 1e-12 * (1.0 + float(np.linalg.norm(x))):
-            cand = _project_to_level(g, grad_g, x + step * d, g0)
-            if cand is not None:
-                cv = abs(h.evaluate_float(list(cand)))
+            projected = _project_to_level(form, x + step * d, g0)
+            if projected is not None:
+                cand, cand_values = projected
+                cv = abs(float(cand_values[n + 1]))
                 if cv > best:
-                    x, best = cand, cv
+                    x, v, best = cand, cand_values, cv
                     step *= 1.5
                     improved = True
                     break
@@ -201,16 +205,17 @@ def mu_estimate_detail(
     if t <= 0:
         raise ValueError("level t must be positive")
     n = g.num_vars
+    form = _with_gradients(g, h)
     best = math.nan
     best_point = None
     crossings = 0
     best_per_task = []
     for i in range(budget):
         u = _ray_for_task(i, n, seed)
-        for r in _level_crossings(g, u, t):
+        for r in _level_crossings(form, u, t):
             crossings += 1
             x0 = r * u
-            val, x_at = _ascend_on_level(g, h, x0)
+            val, x_at = _ascend_on_level(form, x0)
             if math.isnan(best) or val > best:
                 best = val
                 best_point = tuple(float(v) for v in x_at)
@@ -315,6 +320,7 @@ def _zero_containment_sampled(
     from scipy.optimize import least_squares
 
     n = g.num_vars
+    form = _with_gradients(g, h)
     found_any = False
     ok = True
     for k in range(8):
@@ -322,16 +328,20 @@ def _zero_containment_sampled(
         x0 = rng.uniform(-3.0, 3.0, n)
         try:
             res = least_squares(
-                lambda s: [g.evaluate_float(list(s))], x0, max_nfev=200
+                lambda s: form.evaluate(s)[:1],
+                x0,
+                jac=lambda s: form.evaluate(s)[None, 1 : n + 1],
+                max_nfev=200,
             )
-        except Exception:
+        except (ValueError, ArithmeticError):
             continue
         x = res.x
-        scale_g = 1.0 + _norm(x) ** g.total_degree()
-        if abs(g.evaluate_float(list(x))) < 1e-10 * scale_g:
+        v = form.evaluate(x)
+        scale_g = 1.0 + np.linalg.norm(x) ** g.total_degree()
+        if abs(v[0]) < 1e-10 * scale_g:
             found_any = True
-            scale_h = 1.0 + _norm(x) ** h.total_degree()
-            if abs(h.evaluate_float(list(x))) > 1e-3 * scale_h:
+            scale_h = 1.0 + np.linalg.norm(x) ** h.total_degree()
+            if abs(v[n + 1]) > 1e-3 * scale_h:
                 ok = False
     return ok if found_any else None
 
@@ -430,6 +440,16 @@ def _ratio_arrays(g_vals, h_vals, alpha, beta, c):
     return np.nan_to_num(ratio, nan=np.inf)
 
 
+def _level_points(g: Polynomial, h: Polynomial, levels, budget: int, seed: int):
+    """The best points mu_estimate_detail finds on the given levels of |g|,
+    as a (k, n) array (levels it never reached are left out)."""
+    points = [
+        mu_estimate_detail(g, h, float(t), budget=budget, seed=seed).best_point
+        for t in levels
+    ]
+    return np.array([x for x in points if x is not None]).reshape(-1, g.num_vars)
+
+
 def verify_inequality(
     g: Polynomial,
     h: Polynomial,
@@ -448,68 +468,38 @@ def verify_inequality(
     if not (alpha > 0 and beta > 0 and c > 0):
         raise ValueError("alpha, beta, c must all be positive")
     n = g.num_vars
+    pair = MonomialForm([g, h])
+    box = _seeded([seed, 1]).uniform(-box_halfwidth, box_halfwidth, size=(box_count, n))
+    grid = list(np.geomspace(*SMALL_GRID, 6)) + list(np.geomspace(*LARGE_GRID, 6))
+    level = _level_points(g, h, grid, level_budget, seed)
+    curve = [x for ev in curves for x in ev.points]
+    curve_g = [v for ev in curves for v in ev.g_values]
+    curve_h = [v for ev in curves for v in ev.h_values]
     worst = 0.0
     worst_point: Optional[tuple[float, ...]] = None
     worst_source = "none"
     first_violation = None
-
-    rng = _seeded([seed, 1])
-    pts = rng.uniform(-box_halfwidth, box_halfwidth, size=(box_count, n))
-    ratio = _ratio_arrays(
-        g.evaluate_float_batch(pts), h.evaluate_float_batch(pts), alpha, beta, c
-    )
-    k = int(np.argmax(ratio))
-    if ratio[k] > worst:
-        worst = float(ratio[k])
-        worst_point = tuple(float(v) for v in pts[k])
-        worst_source = "box"
-    bad = np.nonzero(ratio > 1.0 + RATIO_TOL)[0]
-    if bad.size:
-        j = int(bad[0])
-        first_violation = {
-            "point": [float(v) for v in pts[j]],
-            "ratio": float(ratio[j]),
-            "source": "box",
-        }
-
-    level_points = 0
-    for idx, t in enumerate(
-        list(np.geomspace(*SMALL_GRID, 6)) + list(np.geomspace(*LARGE_GRID, 6))
+    for source, pts, (g_vals, h_vals) in (
+        ("box", box, pair.evaluate(box)),
+        ("level", level, pair.evaluate(level)),
+        ("curve", curve, (curve_g, curve_h)),
     ):
-        detail = mu_estimate_detail(g, h, float(t), budget=level_budget, seed=seed)
-        if detail.best_point is None:
+        ratio = _ratio_arrays(g_vals, h_vals, alpha, beta, c)
+        if not ratio.size:
             continue
-        level_points += 1
-        x = detail.best_point
-        r = _ratio_arrays(
-            np.array([g.evaluate_float(list(x))]),
-            np.array([h.evaluate_float(list(x))]),
-            alpha,
-            beta,
-            c,
-        )[0]
-        if r > worst:
-            worst = float(r)
-            worst_point = x
-            worst_source = "level"
-        if r > 1.0 + RATIO_TOL and first_violation is None:
-            first_violation = {"point": list(x), "ratio": float(r), "source": "level"}
-
-    curve_points = 0
-    for ev in curves:
-        for x, gv, hv in zip(ev.points, ev.g_values, ev.h_values):
-            curve_points += 1
-            r = _ratio_arrays(np.array([gv]), np.array([hv]), alpha, beta, c)[0]
-            if r > worst:
-                worst = float(r)
-                worst_point = tuple(x)
-                worst_source = "curve"
-            if r > 1.0 + RATIO_TOL and first_violation is None:
-                first_violation = {
-                    "point": list(x),
-                    "ratio": float(r),
-                    "source": "curve",
-                }
+        k = int(np.argmax(ratio))
+        if ratio[k] > worst:
+            worst = float(ratio[k])
+            worst_point = tuple(float(v) for v in pts[k])
+            worst_source = source
+        bad = np.nonzero(ratio > 1.0 + RATIO_TOL)[0]
+        if bad.size and first_violation is None:
+            j = int(bad[0])
+            first_violation = {
+                "point": [float(v) for v in pts[j]],
+                "ratio": float(ratio[j]),
+                "source": source,
+            }
 
     return InequalityReport(
         alpha=alpha,
@@ -521,8 +511,8 @@ def verify_inequality(
         worst_source=worst_source,
         first_violation=first_violation,
         box_count=box_count,
-        level_count=level_points,
-        curve_count=curve_points,
+        level_count=len(level),
+        curve_count=len(curve),
     )
 
 
@@ -632,6 +622,15 @@ def _conditions_hold(
     return min(hp) < 0
 
 
+def _log_residual(form: MonomialForm, sheet: np.ndarray):
+    """fun and jac for least_squares: the form's values at x = sheet * exp(s)
+    and their derivative in s, the weighted Jacobian at x."""
+    return (
+        lambda s: form.values(form.monomials(sheet * np.exp(s))),
+        lambda s: form.weighted_jacobian(form.monomials(sheet * np.exp(s))),
+    )
+
+
 def _solve_coefficients(
     g: Polynomial,
     h: Polynomial,
@@ -668,20 +667,17 @@ def _solve_coefficients(
     # A single-term equation c * a^kappa can never vanish off the axes.
     if any(len(p.terms) == 1 for p in equations):
         return None
+    form = MonomialForm(equations)
     for attempt in range(10):
         rng = _seeded([seed, 4242, attempt])
         sheet = rng.choice((-1.0, 1.0), size=n)
         s0 = rng.uniform(-1.5, 1.5, n)
-
-        def residual(sv):
-            # overflow to inf just steers the solver back; don't warn
-            with np.errstate(over="ignore"):
-                av = sheet * np.exp(sv)
-            return [p.evaluate_float(list(av)) for p in equations]
-
+        fun, jac = _log_residual(form, sheet)
         try:
-            res = least_squares(residual, s0, max_nfev=400)
-        except Exception:
+            # Overflow to inf just steers the solver back.
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = least_squares(fun, s0, jac=jac, max_nfev=400)
+        except (ValueError, ArithmeticError):
             continue
         av = sheet * np.exp(res.x)
         for bound in (1, 12, 1000):
@@ -712,7 +708,7 @@ def hunt_sequences(
     """
     if kind not in ("FirstType", "SecondType"):
         raise ValueError("kind must be 'FirstType' or 'SecondType'")
-    g_bound = 10.0 * (1.0 + abs(g.evaluate_float([0.0] * g.num_vars)))
+    g_bound = 10.0 * (1.0 + abs(float(g.coeff((0,) * g.num_vars))))
     for q in _candidate_exponents(g, h, max_abs_exponent, grid_radius):
         a = _solve_coefficients(g, h, q, kind, delta, seed)
         if a is None:
@@ -723,7 +719,7 @@ def hunt_sequences(
         )
         g_values = tuple(g.evaluate_float(list(x)) for x in points)
         h_values = tuple(h.evaluate_float(list(x)) for x in points)
-        norms = [_norm(x) for x in points]
+        norms = [np.linalg.norm(x) for x in points]
         tail = slice(-5, None)
         if not all(b > n_ for n_, b in zip(norms[tail], norms[tail][1:])):
             continue
@@ -820,23 +816,31 @@ def ktilde_probe(
     ):
         raise ValueError("radii must be positive and increasing")
     n = f.num_vars
-    grad_f = [f.partial(j + 1) for j in range(n)]
-    if constraint is not None:
+    if constraint is None:
+        form = _with_gradients(f)
+    else:
         h_poly, level = constraint
-        grad_h = [h_poly.partial(j + 1) for j in range(n)]
+        form = _with_gradients(f, h_poly)
+
+    def probe(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The form's values at x and the gradient of f there, projected
+        off grad h under a constraint."""
+        v = form.evaluate(x)
+        gf = v[1 : n + 1]
+        if constraint is None:
+            return v, gf
+        gh = v[n + 2 :]
+        denom = float(gh @ gh)
+        return v, (gf if denom < 1e-300 else gf - (float(gf @ gh) / denom) * gh)
 
     def residual(v: np.ndarray, radius: float, sign: float) -> np.ndarray:
         nv = np.linalg.norm(v)
         if nv == 0:
             return np.full(n + (0 if constraint is None else 1), 1e6)
-        x = list(radius * v / nv)
-        gf = np.array([p.evaluate_float(x) for p in grad_f])
+        values, proj = probe(radius * v / nv)
         if constraint is None:
-            return gf
-        gh = np.array([p.evaluate_float(x) for p in grad_h])
-        denom = float(gh @ gh)
-        proj = gf if denom < 1e-300 else gf - (float(gf @ gh) / denom) * gh
-        gap = h_poly.evaluate_float(x) - sign * level
+            return proj
+        gap = values[n + 1] - sign * level
         # The gap is weighted so the optimizer cannot buy a smaller
         # projected gradient by drifting off the level set.
         scale = 1e3 * (1.0 + float(np.linalg.norm(proj))) / (1.0 + abs(level))
@@ -845,10 +849,11 @@ def ktilde_probe(
     def restore_level(x: np.ndarray, target: float, radius: float) -> np.ndarray:
         """Alternate Newton steps along grad h with sphere renormalization."""
         for _ in range(30):
-            val = h_poly.evaluate_float(list(x)) - target
+            v = form.evaluate(x)
+            val = v[n + 1] - target
             if abs(val) <= 1e-12 * (1.0 + abs(target)):
                 break
-            gh = np.array([p.evaluate_float(list(x)) for p in grad_h])
+            gh = v[n + 2 :]
             denom = float(gh @ gh)
             if denom < 1e-300:
                 break
@@ -876,7 +881,7 @@ def ktilde_probe(
             starts.append(_seeded([seed, ridx, k]).normal(size=n))
         best_norm = math.inf
         best_point = tuple([radius] + [0.0] * (n - 1))
-        best_f = f.evaluate_float(list(best_point))
+        best_f = float(form.evaluate(np.array(best_point))[0])
         feasible = constraint is None
         for start in starts:
             for sign in (1.0,) if constraint is None else (1.0, -1.0):
@@ -890,7 +895,7 @@ def ktilde_probe(
                         gtol=1e-15,
                         max_nfev=400,
                     )
-                except Exception:
+                except (ValueError, ArithmeticError):
                     continue
                 nv = np.linalg.norm(res.x)
                 if nv == 0:
@@ -898,29 +903,16 @@ def ktilde_probe(
                 x_arr = radius * res.x / nv
                 if constraint is not None:
                     x_arr = restore_level(x_arr, sign * level, radius)
-                    gap = abs(
-                        h_poly.evaluate_float(list(x_arr)) - sign * level
-                    )
-                    if gap > 1e-6 * (1.0 + abs(level)):
+                values, vec = probe(x_arr)
+                if constraint is not None:
+                    if abs(values[n + 1] - sign * level) > 1e-6 * (1.0 + abs(level)):
                         continue
                     feasible = True
-                x = list(x_arr)
-                gf = np.array([p.evaluate_float(x) for p in grad_f])
-                if constraint is None:
-                    vec = gf
-                else:
-                    gh = np.array([p.evaluate_float(x) for p in grad_h])
-                    denom = float(gh @ gh)
-                    vec = (
-                        gf
-                        if denom < 1e-300
-                        else gf - (float(gf @ gh) / denom) * gh
-                    )
                 norm_val = float(np.linalg.norm(vec))
                 if norm_val < best_norm:
                     best_norm = norm_val
-                    best_point = tuple(float(v) for v in x)
-                    best_f = f.evaluate_float(x)
+                    best_point = tuple(float(v) for v in x_arr)
+                    best_f = float(values[0])
         probes.append(
             RadiusProbe(
                 radius=radius,
@@ -1008,24 +1000,18 @@ def multiplier(
     norms[norms == 0] = 1.0
     radii = rng.uniform(0.0, 1.0, ball_samples) ** (1.0 / n)
     pts = raw / norms[:, None] * radii[:, None]
-    g_vals = g.evaluate_float_batch(pts)
-    h_vals = h.evaluate_float_batch(pts)
+    pair = MonomialForm([g, h])
+    g_vals, h_vals = pair.evaluate(pts)
     mask = g_vals != 0
     skipped = int(ball_samples - np.count_nonzero(mask))
+    level = _level_points(g, h, (1e-2, 1e-4, 1e-6), 8, seed)
+    level_max = 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratios = np.abs(h_vals[mask]) ** power / g_vals[mask] ** 2
+        for gv, hv in pair.evaluate(level).T:
+            if gv != 0:
+                level_max = max(level_max, float(abs(hv) ** power / gv**2))
     ball_max = float(np.max(ratios)) if ratios.size else 0.0
-    level_max = 0.0
-    for t in (1e-2, 1e-4, 1e-6):
-        detail = mu_estimate_detail(g, h, t, budget=8, seed=seed)
-        if detail.best_point is None:
-            continue
-        x = list(detail.best_point)
-        gv = g.evaluate_float(x)
-        if gv == 0:
-            continue
-        hv = h.evaluate_float(x)
-        level_max = max(level_max, abs(hv) ** power / gv**2)
     max_ratio = max(ball_max, level_max)
     report = MultiplierReport(
         alpha=alpha,

@@ -34,7 +34,7 @@ from .polyhedra import (
     enumerate_negative_face_tuples,
     newton_polyhedron,
 )
-from .polynomials import Polynomial, PolynomialMapping, face_part
+from .polynomials import MonomialForm, Polynomial, PolynomialMapping, face_part
 from .univariate import (
     count_real_roots,
     degree,
@@ -472,39 +472,24 @@ def _sign_uniform_on_all_sheets(fp: Polynomial) -> bool:
     return True
 
 
-class _FaceKernel:
-    """A face system compiled once for float evaluation.
-
-    Every term t of every face polynomial is one row: integer exponents
-    E_t, a float coefficient c_t and its component.  Everything derives
-    from the monomial vector m_t = c_t x^E_t: the face values are the
-    component sums of m, the weighted Jacobian is J_ij = sum_t E_tj m_t,
-    and the p x p minors are one batched determinant.  In the search's log
-    coordinates x = sigma exp(s), dm_t/ds_k = E_tk m_t, so J is also the
-    derivative of the face values in s, and dJ_ij/ds_k = sum_t E_tj E_tk m_t.
+class _FaceKernel(MonomialForm):
+    """The face polynomials as one MonomialForm, plus what only the search
+    needs: sheet signs, the log-coordinate memo, the p x p minors as one
+    batched determinant and the residual's derivative.  In log coordinates
+    x = sigma exp(s), the weighted Jacobian J is the derivative of the face
+    values in s, and dJ_ij/ds_k = sum_t E_tj E_tk m_t.
     """
 
     def __init__(self, system: FaceSystem):
         polys = system.face_polys
-        self.n = system.num_vars
-        self.p = len(polys)
-        terms = [(i, kappa, c) for i, fp in enumerate(polys) for kappa, c in fp.terms]
-        self.exps = np.array([kappa for _, kappa, _ in terms], dtype=np.int64)
-        self.coeffs = np.array([float(c) for _, _, c in terms])
-        self.owner = np.zeros((self.p, len(terms)))
-        self.owner[[i for i, _, _ in terms], np.arange(len(terms))] = 1.0
+        super().__init__(polys)
         self.combos = np.array(list(itertools.combinations(range(self.n), self.p)))
         # A minor is scaled by the product of max(deg f_i, 1) * max_t |m_t|.
         self.row_weights = np.array([max(fp.total_degree(), 1) for fp in polys])
-        self._exps_f = self.exps.astype(float)
         self._exps_outer = np.einsum("tj,tk->tjk", self._exps_f, self._exps_f).reshape(
-            len(terms), -1
+            len(self.coeffs), -1
         )
         self._last: Optional[tuple] = None
-
-    def monomials(self, x) -> np.ndarray:
-        """m at a point x of R^n; zero coordinates are allowed."""
-        return self.coeffs * np.prod(np.asarray(x, dtype=float) ** self.exps, axis=1)
 
     def sheet_coeffs(self, sheet) -> np.ndarray:
         """The coefficients times the sign of x^E_t on the sheet sigma."""
@@ -519,17 +504,6 @@ class _FaceKernel:
         if last is None or last[1] is not signed or not np.array_equal(last[0], s):
             last = self._last = (s.copy(), signed, signed * np.exp(self._exps_f @ s))
         return last[2]
-
-    def values(self, m: np.ndarray) -> np.ndarray:
-        return self.owner @ m
-
-    def scales(self, m: np.ndarray) -> np.ndarray:
-        """Per component, the largest |c_t x^E_t|: the natural scale
-        against which a residual counts as an actual zero."""
-        return np.max(self.owner * np.abs(m), axis=1)
-
-    def weighted_jacobian(self, m: np.ndarray) -> np.ndarray:
-        return self.owner @ (self._exps_f * m[:, None])
 
     def minors(self, jac: np.ndarray) -> np.ndarray:
         """Every p x p minor of jac, in itertools.combinations column order."""

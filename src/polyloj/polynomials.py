@@ -6,8 +6,11 @@ representation is canonical: terms are stored sorted in descending
 lexicographic order of the exponent vector, zero coefficients are dropped,
 so structural equality is mathematical equality. Exact evaluation,
 differentiation and the support/face operations used by the polyhedral
-layer all live here; floating evaluation (single point and numpy batch)
-is provided for the numeric estimators.
+layer all live here, and so does MonomialForm, the one float evaluator:
+the witness search and the lojasiewicz estimators compile their
+polynomials into it once per call, and evaluate_float_batch is a call
+into it. The compensated (Kahan) evaluate_float is kept only as an
+independent re-check of float results (witnesses, evidence samples).
 
 Text grammar (variables are x1..xN, no implicit multiplication):
 
@@ -33,6 +36,9 @@ Exponent = tuple[int, ...]
 # downstream integer arithmetic (lattice maps, batch powers) cannot be fed
 # degenerate giant exponents.
 MAX_EXPONENT = 2**31
+# The parser refuses to expand a product or power that might have more
+# terms than this, so untrusted text cannot make it expand without bound.
+MAX_EXPANDED_TERMS = 2000
 
 
 class PolynomialError(ValueError):
@@ -267,19 +273,7 @@ class Polynomial:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.num_vars:
             raise PolynomialError("expected an (m, n) array")
-        out = np.zeros(pts.shape[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers: dict[tuple[int, int], np.ndarray] = {}
-            for e, c in self.terms:
-                term = np.full(pts.shape[0], float(c))
-                for j, k in enumerate(e):
-                    if k:
-                        key = (j, k)
-                        if key not in powers:
-                            powers[key] = pts[:, j] ** k
-                        term = term * powers[key]
-                out += term
-        return out
+        return MonomialForm([self]).evaluate(pts)[0]
 
     # -- text and JSON forms -------------------------------------------------
 
@@ -359,9 +353,6 @@ class PolynomialMapping:
     def evaluate_exact(self, point: Sequence[Fraction | int]) -> list[Fraction]:
         return [f.evaluate_exact(point) for f in self.components]
 
-    def evaluate_float(self, point: Sequence[float]) -> list[float]:
-        return [f.evaluate_float(point) for f in self.components]
-
     def to_json(self) -> dict:
         return {"components": [f.to_json() for f in self.components]}
 
@@ -371,6 +362,96 @@ class PolynomialMapping:
         if not isinstance(comps, list) or not comps:
             raise PolynomialError("mapping JSON needs a nonempty components list")
         return PolynomialMapping(tuple(Polynomial.from_json(c) for c in comps))
+
+
+# -- compiled float evaluation -------------------------------------------------
+
+# Points per block of a batch evaluation: a block's (terms x points) arrays
+# stay small, so a batch of 10^6 points adds no temporaries of its own size.
+BATCH_BLOCK = 8192
+# Up to this many points, x^E_t is one numpy power per entry; above it,
+# integer powers come from repeated squaring, far cheaper than pow().
+FEW_POINTS = 16
+
+
+class MonomialForm:
+    """Polynomials f_1..f_p compiled for float evaluation: the package's
+    one float evaluator.  A form lives as long as the call that built it.
+
+    Term t of f_i is one row: integer exponents E_t, a float coefficient
+    c_t and, in the term-to-component matrix `owner`, its component i.
+    From the monomials m_t = c_t x^E_t, f_i is the sum of its own m_t and
+    (x_j df_i/dx_j) the sum of E_tj m_t.  A point is an (n,) array, with
+    (T,) monomials and (p,) values; an (m, n) batch gives (T, m) and (p, m).
+    """
+
+    def __init__(self, polys: Sequence[Polynomial]):
+        self.n = polys[0].num_vars
+        self.p = len(polys)
+        terms = [(i, kappa, c) for i, f in enumerate(polys) for kappa, c in f.terms]
+        self.exps = np.array([kappa for _, kappa, _ in terms], dtype=np.int64).reshape(
+            len(terms), self.n
+        )
+        self.coeffs = np.array([float(c) for _, _, c in terms])
+        self.owner = np.zeros((self.p, len(terms)))
+        self.owner[[i for i, _, _ in terms], np.arange(len(terms))] = 1.0
+        self._exps_f = self.exps.astype(float)
+        # Per variable, its distinct exponents and each term's index into them.
+        self._powers = [np.unique(col, return_inverse=True) for col in self.exps.T]
+
+    def monomials(self, x) -> np.ndarray:
+        """m at a point or a batch; zero coordinates are allowed and
+        overflow gives inf (callers that expect it silence the warning)."""
+        x = np.asarray(x, dtype=float)
+        if x.size <= FEW_POINTS * self.n:
+            return (self.coeffs * np.multiply.reduce(x[..., None, :] ** self.exps, -1)).T
+        prod = np.ones((len(self.coeffs), len(x)))
+        for j, (exponents, index) in enumerate(self._powers):
+            # Every distinct power of x_j at once, bit by bit of the exponents.
+            powers = np.ones((len(exponents), len(x)))
+            square, bits = x[:, j], exponents.copy()
+            while bits.any():
+                odd = bits % 2 == 1
+                powers[odd] *= square
+                bits //= 2
+                square = square * square
+            prod = prod * powers[index]
+        return self.coeffs[:, None] * prod
+
+    def values(self, m: np.ndarray) -> np.ndarray:
+        """The component sums of m, each over its own terms only."""
+        v = self.owner @ m
+        if math.isfinite(v.sum()):
+            return v
+        # An infinite monomial makes 0 * inf = nan in every other component
+        # (a finite sum that overflows just takes this slower path).
+        return np.array([m[row > 0].sum(axis=0) for row in self.owner])
+
+    def scales(self, m: np.ndarray) -> np.ndarray:
+        """Per component, the largest |c_t x^E_t|: the natural scale
+        against which a residual counts as an actual zero."""
+        owner = self.owner.reshape(self.owner.shape + (1,) * (m.ndim - 1))
+        return np.max(owner * np.abs(m), axis=1)
+
+    def weighted_jacobian(self, m: np.ndarray) -> np.ndarray:
+        """(x_j df_i/dx_j), (p, n) or (p, n, m); with x = sigma exp(s) it is
+        also d(values)/ds, since dm_t/ds_k = E_tk m_t."""
+        w = self._exps_f.reshape(self.exps.shape + (1,) * (m.ndim - 1)) * m[:, None]
+        flat = self.owner @ w.reshape(len(self.coeffs), -1)
+        return flat.reshape((self.p, self.n) + m.shape[1:])
+
+    def evaluate(self, points) -> np.ndarray:
+        """f_1..f_p at a point, (p,), or at every row of an (m, n) batch,
+        (p, m), a block of BATCH_BLOCK points at a time; overflow -> inf."""
+        x = np.asarray(points, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if x.ndim == 1:
+                return self.values(self.monomials(x))
+            out = np.empty((self.p, len(x)))
+            for lo in range(0, len(x), BATCH_BLOCK):
+                block = self.monomials(x[lo : lo + BATCH_BLOCK])
+                out[:, lo : lo + BATCH_BLOCK] = self.values(block)
+            return out
 
 
 # -- parser -----------------------------------------------------------------
@@ -437,6 +518,16 @@ class _Parser:
             return Polynomial.constant(self.num_vars, self.parse_number())
         raise self.error("expected a variable, number or parenthesized expression")
 
+    def check_expansion(self, terms: int, degree: int) -> None:
+        """Refuse an expansion with up to `terms` terms of total degree up
+        to `degree` when the smaller of that count and the number of
+        monomials of that degree exceeds MAX_EXPANDED_TERMS."""
+        bound = min(terms, math.comb(degree + self.num_vars, self.num_vars))
+        if bound > MAX_EXPANDED_TERMS:
+            raise self.error(
+                f"expanding this could give {bound} terms, more than {MAX_EXPANDED_TERMS}"
+            )
+
     def parse_factor(self) -> Polynomial:
         base = self.parse_atom()
         if self.peek() == "^":
@@ -446,6 +537,11 @@ class _Parser:
             exp = self.read_digits()
             if exp >= MAX_EXPONENT:
                 raise self.error(f"exponent exceeds {MAX_EXPONENT}")
+            # base^exp has at most as many terms as there are monomials of
+            # degree exp in the terms of base.
+            terms = math.comb(max(len(base.terms), 1) + exp - 1, exp)
+            if terms > MAX_EXPANDED_TERMS:
+                self.check_expansion(terms, base.total_degree() * exp)
             return base**exp
         return base
 
@@ -453,7 +549,11 @@ class _Parser:
         result = self.parse_factor()
         while self.peek() == "*":
             self.take("*")
-            result = result * self.parse_factor()
+            factor = self.parse_factor()
+            terms = len(result.terms) * len(factor.terms)
+            if terms > MAX_EXPANDED_TERMS:
+                self.check_expansion(terms, result.total_degree() + factor.total_degree())
+            result = result * factor
         return result
 
     def parse_expr(self) -> Polynomial:

@@ -82,6 +82,27 @@ def test_check_nondegenerate_exact(capsys):
     jsonschema.validate(result, load_schema("nondegeneracy.v1.schema.json"))
 
 
+def test_check_nondegenerate_records_what_it_ran(capsys):
+    report = run_report(
+        ["check-nondegenerate", "--n", "3", "--text", "x1^2+x2^2+x3^2-x1*x2*x3",
+         "--budget", "7"],
+        capsys,
+    )
+    assert report["config"]["attempts"] == 7
+    assert report["config"]["tolerances"] == {
+        "MINOR_TOL": 1e-8,
+        "REL_MINOR_TOL": 1e-6,
+        "REL_RESIDUAL_TOL": 1e-8,
+        "RESIDUAL_TOL": 1e-10,
+    }
+    trials = {
+        e["evidence"]["trials"]
+        for e in report["result"]["tuples"]
+        if e["evidence"]["kind"] == "SearchExhausted"
+    }
+    assert trials <= {7}
+
+
 def test_check_nondegenerate_degenerate_witness(capsys):
     report = run_report(
         ["check-nondegenerate", "--text", "(x1 - x2)^2", "--n", "2"], capsys
@@ -198,6 +219,15 @@ def test_parse_error_is_usage_error(capsys):
     code, _, err = run(["polyhedron", "--text", "x1^^2", "--n", "1"], capsys)
     assert code == 1
     assert err.startswith("usage error:")
+
+
+def test_oversized_expansion_is_usage_error(capsys):
+    code, out, err = run(
+        ["polyhedron", "--text", "(x1+x2+x3+1)^60", "--n", "3"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "more than 2000" in err
 
 
 def test_missing_input_is_usage_error(capsys):

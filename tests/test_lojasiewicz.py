@@ -111,6 +111,33 @@ def test_fit_raises_when_levels_unreachable():
         fit_exponents(g, H32, budget=8)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: fit_exponents(G32, H32, budget=2),
+        lambda: ktilde_probe(G32, radii=[10.0], budget=1),
+        lambda: ktilde_probe(G32, constraint=(H32, 1.0), radii=[10.0], budget=1),
+    ],
+    ids=["fit_exponents", "ktilde_probe", "ktilde_probe-constrained"],
+)
+def test_solver_loops_let_programming_errors_through(run, monkeypatch):
+    # The solver loops skip a start whose least-squares call fails
+    # numerically; a TypeError inside the residual is a bug and must surface.
+    import scipy.optimize
+
+    original = scipy.optimize.least_squares
+
+    def typo_in_residual(fun, x0, *args, **kwargs):
+        def broken(*a, **k):
+            raise TypeError("unsupported operand")
+
+        return original(broken, x0, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", typo_in_residual)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run()
+
+
 def test_verify_inequality_reference_triple():
     report = verify_inequality(G32, H32, 0.5, 1.0, 1.0, box_count=100000)
     assert report.holds

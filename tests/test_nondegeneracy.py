@@ -30,10 +30,12 @@ from polyloj import (
     rescale_witness,
     witness_search,
 )
+from polyloj import polynomials
 from polyloj.linalg import rank
+from polyloj.lojasiewicz import _log_residual
 from polyloj.nondegeneracy import SearchStats, _FaceKernel
 from polyloj.polyhedra import d_and_face, newton_polyhedron
-from polyloj.polynomials import face_part
+from polyloj.polynomials import MonomialForm, face_part
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -192,26 +194,58 @@ def random_form(rnd, n, degree, terms):
 KERNEL_SHAPES = [(2, 1), (3, 1), (3, 2), (3, 3), (4, 2)]
 
 
-@pytest.mark.parametrize("n,p", KERNEL_SHAPES)
-def test_kernel_jacobian_matches_finite_differences(n, p):
+def log_residual(kind, polys, sheet):
+    """A residual in log coordinates s, its analytic Jacobian and its row
+    count: the witness search's face kernel, or the Laurent-coefficient
+    equations _solve_coefficients hands to least_squares."""
+    n, p = polys[0].num_vars, len(polys)
+    if kind == "face system":
+        kernel = _FaceKernel(system_of(polys, (-1,) * n))
+        signed = kernel.sheet_coeffs(sheet)
+        return (
+            lambda s: kernel.log_residual(s, signed),
+            lambda s: kernel.log_residual_jacobian(s, signed),
+            p + math.comb(n, p),
+        )
+    return (*_log_residual(MonomialForm(polys), sheet), p)
+
+
+@pytest.mark.parametrize(
+    "n,p,kind",
+    [pytest.param(n, p, "face system", id=f"{n}-{p}") for n, p in KERNEL_SHAPES]
+    + [pytest.param(n, p, "curve coefficients", id=f"{n}-{p}-curve") for n, p in KERNEL_SHAPES],
+)
+def test_kernel_jacobian_matches_finite_differences(n, p, kind):
     rnd = util.make_rng(610 + 10 * n + p)
     for _ in range(10):
         polys = [random_form(rnd, n, rnd.randint(2, 5), rnd.randint(2, 4)) for _ in range(p)]
-        kernel = _FaceKernel(system_of(polys, (-1,) * n))
-        signed = kernel.sheet_coeffs(np.array([rnd.choice([1.0, -1.0]) for _ in range(n)]))
+        sheet = np.array([rnd.choice([1.0, -1.0]) for _ in range(n)])
+        fun, jac, rows = log_residual(kind, polys, sheet)
         s = np.array([rnd.uniform(-1.0, 1.0) for _ in range(n)])
-        analytic = kernel.log_residual_jacobian(s, signed)
-        numeric = approx_derivative(
-            lambda t: kernel.log_residual(t, signed), s, method="3-point"
-        )
-        assert analytic.shape == (p + math.comb(n, p), n)
+        analytic = jac(s)
+        numeric = np.atleast_2d(approx_derivative(fun, s, method="3-point"))
+        assert analytic.shape == (rows, n)
         np.testing.assert_allclose(
             analytic, numeric, rtol=1e-6, atol=1e-9 * np.abs(numeric).max()
         )
 
 
+def assert_matches_exact(values, polys, points):
+    """Float values (one row per polynomial, one column per point) within
+    1e-12 of the exact ones, relative to the sum of the terms' magnitudes."""
+    for row, f in zip(values, polys):
+        magnitude = Polynomial.from_dict(f.num_vars, {e: abs(c) for e, c in f.terms})
+        for v, x in zip(row, points):
+            scale = float(magnitude.evaluate_exact([abs(xj) for xj in x]))
+            assert abs(v - float(f.evaluate_exact(x))) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("n,p", KERNEL_SHAPES)
-def test_kernel_matches_scalar_evaluators(n, p):
+def test_kernel_matches_scalar_evaluators(n, p, monkeypatch):
+    # Blocks of 4 points, so the 11-point batches below span three blocks,
+    # and batches of 2 points or more take the repeated-squaring path.
+    monkeypatch.setattr(polynomials, "BATCH_BLOCK", 4)
+    monkeypatch.setattr(polynomials, "FEW_POINTS", 1)
     rnd = util.make_rng(620 + 10 * n + p)
     for _ in range(10):
         polys = [random_form(rnd, n, rnd.randint(2, 5), rnd.randint(2, 4)) for _ in range(p)]
@@ -239,6 +273,28 @@ def test_kernel_matches_scalar_evaluators(n, p):
             np.concatenate([kernel.values(m), minors]),
             rtol=1e-12,
         )
+        # The shared form on random polynomials and their exact partials, at
+        # rational points with zero coordinates (the axis rays of mu(t) meet
+        # them), one at a time and as one batch.
+        general = [util.random_polynomial(rnd, n) for _ in range(p)]
+        compiled = general + [f.partial(j) for f in general for j in range(1, n + 1)]
+        form = MonomialForm(compiled)
+        points = [
+            [Fraction(rnd.randint(-9, 9), rnd.randint(1, 4)) * rnd.randint(0, 1) for _ in range(n)]
+            for _ in range(11)
+        ]
+        batch = np.array([[float(v) for v in x] for x in points])
+        assert_matches_exact(form.evaluate(batch), compiled, points)
+        assert_matches_exact(
+            np.transpose([form.evaluate(row) for row in batch]), compiled, points
+        )
+        weighted = form.weighted_jacobian(form.monomials(batch))
+        for j in range(n):
+            assert_matches_exact(
+                weighted[:p, j],
+                [f.partial(j + 1) * Polynomial.variable(n, j + 1) for f in general],
+                points,
+            )
 
 
 def test_witness_search_at_the_parametrization_bounds(monkeypatch):

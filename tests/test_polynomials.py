@@ -1,6 +1,8 @@
 """Sparse rational polynomials: parsing, arithmetic, evaluation, face
 restriction, and the weighted Euler identity."""
 
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from polyloj import (
     restrict_to_axes,
 )
 from polyloj.polyhedra import d_and_face, newton_polyhedron
+from polyloj.polynomials import MonomialForm
 
 
 def test_parse_pinned_expansion():
@@ -56,6 +59,19 @@ def test_parse_errors():
         parse_polynomial("", 2)
     with pytest.raises(ParseError):
         parse_polynomial("x1^-2", 2)
+
+
+def test_parse_refuses_oversized_expansions():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="more than 2000"):
+        parse_polynomial("(x1+x2+x3+1)^60", 3)
+    # 2^n terms: the product of 20 binomials is refused at its 11th factor.
+    with pytest.raises(ParseError, match="2048 terms"):
+        parse_polynomial("*".join(f"(x{j}+1)" for j in range(1, 21)), 20)
+    assert time.perf_counter() - start < 1.0
+    # A monomial stays a monomial, whatever the power.
+    assert len(parse_polynomial("(2*x1*x2)^100000", 2).terms) == 1
+    assert len(parse_polynomial("(x1+x2+x3+1)^12", 3).terms) == 455
 
 
 def test_parse_error_is_polynomial_error():
@@ -104,6 +120,19 @@ def test_evaluation_exact_float_batch_agree():
             scale = 1.0 + abs(float(exact))
             assert abs(float(exact) - approx) <= 1e-9 * scale
             assert abs(float(exact) - b) <= 1e-9 * scale
+
+
+def test_compiled_components_do_not_share_overflow():
+    # h overflows where g does not; 0 * inf in the term-to-component sum
+    # must not turn g into nan.
+    g = parse_polynomial("x1 + 1", 1)
+    h = parse_polynomial("x1^400 - x1", 1)
+    form = MonomialForm([g, h])
+    point = form.evaluate([1e300])
+    assert point[0] == 1e300 and point[1] == math.inf
+    batch = form.evaluate(np.array([[1e300], [2.0]]))
+    assert batch[0].tolist() == [1e300, 3.0]
+    assert batch[1, 0] == math.inf and batch[1, 1] == 2.0**400 - 2.0
 
 
 def test_partial_is_one_based():
