@@ -549,20 +549,18 @@ class SequenceEvidence:
         }
 
 
-def _curve_profile(
-    f: Polynomial, q: tuple[int, ...], a: Sequence[Fraction]
-) -> dict[int, Fraction]:
-    """Exact Laurent coefficients of s -> f(a_1 s^{q_1}, .., a_n s^{q_n}):
-    term kappa lands at exponent <q, kappa> with coefficient c * a^kappa."""
-    out: dict[int, Fraction] = {}
+def _laurent_groups(
+    f: Polynomial, q: tuple[int, ...]
+) -> list[tuple[int, Polynomial]]:
+    """The terms of f grouped by Laurent exponent along the curve
+    s -> (a_1 s^{q_1}, .., a_n s^{q_n}), in increasing order: term kappa
+    lands at exponent m = <q, kappa>, so group m evaluated at a is the
+    exact coefficient of s^m."""
+    groups: dict[int, dict] = {}
     for kappa, coeff in f.terms:
         m = sum(qj * kj for qj, kj in zip(q, kappa))
-        val = coeff
-        for aj, kj in zip(a, kappa):
-            if kj:
-                val *= Fraction(aj) ** kj
-        out[m] = out.get(m, Fraction(0)) + val
-    return {m: v for m, v in out.items() if v != 0}
+        groups.setdefault(m, {})[kappa] = coeff
+    return [(m, Polynomial.from_dict(f.num_vars, groups[m])) for m in sorted(groups)]
 
 
 def _candidate_exponents(
@@ -595,31 +593,22 @@ def _candidate_exponents(
 
 
 def _conditions_hold(
-    g: Polynomial,
-    h: Polynomial,
-    q: tuple[int, ...],
+    blocking: list[Polynomial],
+    h_groups: list[tuple[int, Polynomial]],
     a: Sequence[Fraction],
     kind: str,
     delta: float,
 ) -> bool:
-    gp = _curve_profile(g, q, a)
-    hp = _curve_profile(h, q, a)
-    if any(m < 0 for m in gp):
+    """The curve conditions at a: every blocking Laurent coefficient of g
+    vanishes, and h's leading one sits at a negative exponent, or, for
+    first-type curves, at exponent 0 with magnitude at least delta."""
+    if any(eq.evaluate_exact(a) for eq in blocking):
         return False
-    if kind == "FirstType":
-        if 0 in gp:
-            return False
-        if not hp:
-            return False
-        lead = min(hp)
-        if lead > 0:
-            return False
-        if lead == 0 and abs(hp[0]) < delta:
-            return False
-        return True
-    if not hp:
-        return False
-    return min(hp) < 0
+    for m, group in h_groups:
+        value = group.evaluate_exact(a)
+        if value:
+            return m < 0 or (kind == "FirstType" and m == 0 and abs(value) >= delta)
+    return False
 
 
 def _log_residual(form: MonomialForm, sheet: np.ndarray):
@@ -632,9 +621,9 @@ def _log_residual(form: MonomialForm, sheet: np.ndarray):
 
 
 def _solve_coefficients(
-    g: Polynomial,
-    h: Polynomial,
-    q: tuple[int, ...],
+    g_groups: list[tuple[int, Polynomial]],
+    h_groups: list[tuple[int, Polynomial]],
+    n: int,
     kind: str,
     delta: float,
     seed: int,
@@ -645,23 +634,18 @@ def _solve_coefficients(
     on the blocking Laurent coefficients with rational snap-back."""
     from scipy.optimize import least_squares
 
-    n = g.num_vars
+    # The blocking equations: Laurent coefficients of g at negative
+    # exponents (plus the constant one for first-type curves) as
+    # polynomials in a.
+    equations = [
+        group for m, group in g_groups if m < 0 or (kind == "FirstType" and m == 0)
+    ]
     simple = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(1, 2), Fraction(-1, 2))
     for a in itertools.product(simple, repeat=n):
-        if _conditions_hold(g, h, q, a, kind, delta):
+        if _conditions_hold(equations, h_groups, a, kind, delta):
             return a
 
-    # Equations: Laurent coefficients of g at negative exponents (plus the
-    # constant one for first-type curves) as polynomials in a.
-    eq_terms: dict[int, dict] = {}
-    for kappa, coeff in g.terms:
-        m = sum(qj * kj for qj, kj in zip(q, kappa))
-        if m < 0 or (kind == "FirstType" and m == 0):
-            eq_terms.setdefault(m, {})[kappa] = coeff
-    equations = [
-        Polynomial.from_dict(n, coeffs) for _, coeffs in sorted(eq_terms.items())
-    ]
     if not equations:
         return None
     # A single-term equation c * a^kappa can never vanish off the axes.
@@ -684,7 +668,7 @@ def _solve_coefficients(
             a = tuple(Fraction(float(v)).limit_denominator(bound) for v in av)
             if any(v == 0 for v in a):
                 continue
-            if _conditions_hold(g, h, q, a, kind, delta):
+            if _conditions_hold(equations, h_groups, a, kind, delta):
                 return a
     return None
 
@@ -710,7 +694,9 @@ def hunt_sequences(
         raise ValueError("kind must be 'FirstType' or 'SecondType'")
     g_bound = 10.0 * (1.0 + abs(float(g.coeff((0,) * g.num_vars))))
     for q in _candidate_exponents(g, h, max_abs_exponent, grid_radius):
-        a = _solve_coefficients(g, h, q, kind, delta, seed)
+        a = _solve_coefficients(
+            _laurent_groups(g, q), _laurent_groups(h, q), g.num_vars, kind, delta, seed
+        )
         if a is None:
             continue
         s_values = tuple(10.0 ** (-k) for k in range(num_samples))

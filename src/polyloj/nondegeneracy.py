@@ -307,111 +307,73 @@ class NondegeneracyReport:
 # -- exact decision in two variables ------------------------------------------
 
 
-def _perp(q: Sequence[int]) -> tuple[int, int]:
-    w1, w2 = -q[1], q[0]
-    g = math.gcd(abs(w1), abs(w2))
-    return (w1 // g, w2 // g)
-
-
-def _edge_profile(fp: Polynomial, w: tuple[int, int]) -> list[Fraction]:
-    """Coefficients of P with f(x) = x^kappa0 * P(x^w) on the face: exponents
-    on an edge differ by integer multiples of the primitive edge direction w,
-    so each term maps to a power of the single variable y = x^w."""
-    support = fp.support()
-    base = support[0]
-    ms = []
-    for kappa in support:
-        diff = (kappa[0] - base[0], kappa[1] - base[1])
-        if w[0] != 0:
-            m, r = divmod(diff[0], w[0])
-            if r or m * w[1] != diff[1]:
-                raise ValueError("face exponents are not collinear along w")
-        else:
-            m, r = divmod(diff[1], w[1])
-            if r or w[0] * m != diff[0]:
-                raise ValueError("face exponents are not collinear along w")
-        ms.append(m)
-    low = min(ms)
-    coeffs = [Fraction(0)] * (max(ms) - low + 1)
-    for kappa, m in zip(support, ms):
-        coeffs[m - low] = fp.coeff(kappa)
+def _slice_profile(fp: Polynomial, j: int, m: int) -> list[Fraction]:
+    """Coefficients of R with fp(x) = y^low * R(y^m) on the slice x_j = 1,
+    y = x_k the other coordinate and m = |q_j|: on the face <q, kappa> = d
+    with q primitive, so the kappa_k differ by multiples of m and each term
+    lands on its own power of y^m."""
+    k = 1 - j
+    powers = [kappa[k] for kappa, _ in fp.terms]
+    low = min(powers)
+    coeffs = [Fraction(0)] * ((max(powers) - low) // m + 1)
+    for kappa, coeff in fp.terms:
+        e, r = divmod(kappa[k] - low, m)
+        if r or coeffs[e]:
+            raise ValueError("face terms do not lie on a face of the covector")
+        coeffs[e] = coeff
     return coeffs
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
-
-
-def _point_from_parameter(w: tuple[int, int], y) -> tuple:
-    """Some x in (R*)^2 with x^w = y, for y != 0.  Rational y gives a
-    rational point.  w is primitive, so exponents come from a Bezout pair."""
-    g, a1, a2 = _ext_gcd(w[0], w[1])
-    if g != 1:
-        raise ArithmeticError(f"edge direction {w} is not primitive")
-    mag = abs(y) if isinstance(y, Fraction) else abs(float(y))
-    coords = [mag**a1, mag**a2]
-    if y > 0:
-        sigma = (1, 1)
-    elif w[0] % 2 != 0:
-        sigma = (-1, 1)
-    else:
-        sigma = (1, -1)
-    return (sigma[0] * coords[0], sigma[1] * coords[1])
-
-
-def _witness_evidence(system: FaceSystem, w: tuple[int, int], g_poly) -> Evidence:
-    """Materialize a witness from a real root of the univariate decision
-    polynomial: rational roots give exact witnesses, otherwise isolate and
-    refine."""
+def _witness_evidence(system: FaceSystem, j: int, g_poly) -> Evidence:
+    """Materialize a witness from a real root z = y^m of the univariate
+    decision polynomial, m = |q_j| odd.  A rational z gives the exact point
+    t^q x with x_j = 1, x_k = y and t = y^c, c q_k = -1 mod m: each of its
+    coordinates y^(c q_i + [i = k]) is an integer power of z.  Otherwise z
+    is isolated and refined, and the witness is x_j = 1, x_k = z^(1/m)."""
+    q = system.witness_q
+    k, m = 1 - j, abs(q[j])
     exact_roots = rational_roots(g_poly)
     if exact_roots:
-        y = exact_roots[0]
-        x = _point_from_parameter(w, y)
-        ok, info = check_witness(system, x)
-        if not ok:
-            raise ArithmeticError("exact witness failed its own re-check")
-        return Evidence(
-            kind="Witness",
-            witness=tuple(float(v) for v in x),
-            witness_exact=tuple(str(v) for v in x),
-            residual_norm=max(info["f_residuals"], default=0.0),
-            minor_max=info["minor_max"],
+        c = -pow(q[k], -1, m) % m
+        points = [[exact_roots[0] ** ((c * qi + (i == k)) // m) for i, qi in enumerate(q)]]
+        failure = "exact witness failed its own re-check"
+    else:
+        intervals = isolate_real_roots(g_poly)
+        if not intervals:
+            raise ArithmeticError("root count and isolation disagree")
+        roots = (refine_root(g_poly, intervals[0], iterations=it) for it in (120, 240))
+        points = (
+            [math.copysign(abs(z) ** (1 / m), z) if i == k else 1.0 for i in range(2)]
+            for z in roots
         )
-    intervals = isolate_real_roots(g_poly)
-    if not intervals:
-        raise ArithmeticError("root count and isolation disagree")
-    y = refine_root(g_poly, intervals[0], iterations=120)
-    x = _point_from_parameter(w, y)
-    ok, info = check_witness(system, x)
-    if not ok:
-        y = refine_root(g_poly, intervals[0], iterations=240)
-        x = _point_from_parameter(w, y)
+        failure = "witness refinement failed to meet tolerance"
+    for x in points:
         ok, info = check_witness(system, x)
-        if not ok:
-            raise ArithmeticError("witness refinement failed to meet tolerance")
-    return Evidence(
-        kind="Witness",
-        witness=tuple(float(v) for v in x),
-        residual_norm=max(info["f_residuals"], default=0.0),
-        minor_max=info["minor_max"],
-    )
+        if ok:
+            return Evidence(
+                kind="Witness",
+                witness=tuple(float(v) for v in x),
+                witness_exact=tuple(str(v) for v in x) if exact_roots else None,
+                residual_norm=max(info["f_residuals"], default=0.0),
+                minor_max=info["minor_max"],
+            )
+    raise ArithmeticError(failure)
 
 
 def exact_check_2d(system: FaceSystem) -> Evidence:
-    """Exact emptiness decision in two variables.
+    """Exact emptiness decision in two variables, on the slice x_j = 1.
 
-    Vertex faces are monomials and never vanish on (R*)^2.  Edge-face
-    polynomials factor as x^kappa0 * P(x^w) with w the primitive edge
-    direction, and x -> x^w maps each sheet of (R*)^2 onto a half-line, so
-    zeros in (R*)^2 correspond exactly to nonzero real roots of P (and P(0)
-    != 0 by construction).  For one component the weighted Euler relation
-    with d != 0 makes "zero with vanishing weighted gradient" equivalent to
-    a repeated real root, i.e. a real root of gcd(P, P'); for two
-    components the same relation forces the 2x2 rank drop at every common
-    zero, i.e. a real root of gcd(P1, P2).
+    Vertex faces are monomials and never vanish on (R*)^2.  The covector q
+    is primitive, so some q_j is odd; the odd one of smallest m = |q_j| is
+    used.  Then x -> t^q x with real t != 0 carries every point of (R*)^2
+    onto the slice x_j = 1 and keeps the face zeros and the weighted-Jacobian
+    rank.  On the slice each face polynomial is y^low * R(y^m) in the other
+    coordinate y = x_k with R(0) != 0, and z = y^m is a bijection of R*
+    because m is odd, so its zeros in (R*)^2 are the real roots of R.  For
+    one component the weighted Euler relation (d != 0, q_j != 0) makes a
+    zero with vanishing weighted gradient a repeated root, a real root of
+    gcd(R, R'); for two it forces the rank drop at every common zero, a real
+    root of gcd(R1, R2).  A rational root gives an exact witness.
     """
     if system.num_vars != 2:
         raise ValueError("exact decisions are only available in two variables")
@@ -420,13 +382,16 @@ def exact_check_2d(system: FaceSystem) -> Evidence:
             kind="EmptyZeroSet",
             reason="a monomial face polynomial never vanishes on (R*)^2",
         )
-    w = _perp(system.witness_q)
-    profiles = [_edge_profile(fp, w) for fp in system.face_polys]
+    q = system.witness_q
+    j = min((0, 1), key=lambda k: (q[k] % 2 == 0, abs(q[k])))
+    if q[j] % 2 == 0:
+        raise ValueError("the face system's covector has no odd entry")
+    profiles = [_slice_profile(fp, j, abs(q[j])) for fp in system.face_polys]
     if len(profiles) == 1:
         p_poly = profiles[0]
         repeated = gcd(p_poly, derivative(p_poly))
         if degree(repeated) >= 1 and count_real_roots(repeated) > 0:
-            return _witness_evidence(system, w, repeated)
+            return _witness_evidence(system, j, repeated)
         if count_real_roots(p_poly) == 0:
             return Evidence(
                 kind="EmptyZeroSet",
@@ -439,7 +404,7 @@ def exact_check_2d(system: FaceSystem) -> Evidence:
     if len(profiles) == 2:
         common = gcd(profiles[0], profiles[1])
         if degree(common) >= 1 and count_real_roots(common) > 0:
-            return _witness_evidence(system, w, common)
+            return _witness_evidence(system, j, common)
         return Evidence(
             kind="EmptyZeroSet",
             reason="the face polynomials have no common zero in (R*)^2",

@@ -466,49 +466,19 @@ def _sweep_cells_2d(gammas: Sequence[NewtonPolyhedron]) -> list[list[IntVec]]:
     return cells
 
 
-def _enumerate_exact_2d(gammas: Sequence[NewtonPolyhedron]) -> list[FaceTuple]:
+def _cone_tuples(
+    gammas: Sequence[NewtonPolyhedron],
+    cones: Sequence[tuple[list[IntVec], IntVec]],
+    lineality: list[IntVec],
+) -> list[FaceTuple]:
+    """The distinct face tuples of the cones (generators, rep_q) that hold
+    a negative covector: rep_q, a covector inside the cone, picks one point
+    of each polyhedron's face, and the cone's witness must expose the same
+    face tuple."""
     found: dict[tuple, FaceTuple] = {}
-    for cell in _sweep_cells_2d(gammas):
-        rep = cell[0] if len(cell) == 1 else tuple(
-            a + b for a, b in zip(cell[0], cell[1])
-        )
-        reps = []
-        for g in gammas:
-            _, face = d_and_face(rep, g)
-            reps.append(face.points[0])
-        q = _cell_negative_witness(cell, [], reps, 2)
-        if q is None:
-            continue
-        ft = _tuple_from_witness(q, gammas)
-        if ft is None:
-            raise AssertionError("cell witness failed verification")
-        found.setdefault(ft.key(), ft)
-    return list(found.values())
-
-
-def _enumerate_exact_minkowski(gammas: Sequence[NewtonPolyhedron]) -> list[FaceTuple]:
-    total = gammas[0]
-    for g in gammas[1:]:
-        total = minkowski_sum(total, g)
-    lineality = [a for a, _ in total.equations]
-    facet_sets = [
-        frozenset(v for v in total.vertices if dot(f.normal, v) == f.offset)
-        for f in total.facets
-    ]
-    found: dict[tuple, FaceTuple] = {}
-    for face in all_faces(total, include_improper=True):
-        pts = set(face.points)
-        gens = [
-            f.normal
-            for f, fs in zip(total.facets, facet_sets)
-            if pts <= fs
-        ]
-        rep_q = face.witness_q
-        reps = []
-        for g in gammas:
-            _, fi = d_and_face(rep_q, g)
-            reps.append(fi.points[0])
-        q = _cell_negative_witness(gens, lineality, reps, total.ambient_dim)
+    for generators, rep_q in cones:
+        reps = [d_and_face(rep_q, g)[1].points[0] for g in gammas]
+        q = _cell_negative_witness(generators, lineality, reps, gammas[0].ambient_dim)
         if q is None:
             continue
         ft = _tuple_from_witness(q, gammas)
@@ -516,6 +486,30 @@ def _enumerate_exact_minkowski(gammas: Sequence[NewtonPolyhedron]) -> list[FaceT
             raise AssertionError("cone witness failed verification")
         found.setdefault(ft.key(), ft)
     return list(found.values())
+
+
+def _enumerate_exact_2d(gammas: Sequence[NewtonPolyhedron]) -> list[FaceTuple]:
+    cones = [
+        (cell, cell[0] if len(cell) == 1 else tuple(a + b for a, b in zip(*cell)))
+        for cell in _sweep_cells_2d(gammas)
+    ]
+    return _cone_tuples(gammas, cones, [])
+
+
+def _enumerate_exact_minkowski(gammas: Sequence[NewtonPolyhedron]) -> list[FaceTuple]:
+    total = gammas[0]
+    for g in gammas[1:]:
+        total = minkowski_sum(total, g)
+    facet_sets = [
+        frozenset(v for v in total.vertices if dot(f.normal, v) == f.offset)
+        for f in total.facets
+    ]
+    cones = []
+    for face in all_faces(total, include_improper=True):
+        pts = set(face.points)
+        gens = [f.normal for f, fs in zip(total.facets, facet_sets) if pts <= fs]
+        cones.append((gens, face.witness_q))
+    return _cone_tuples(gammas, cones, [a for a, _ in total.equations])
 
 
 def _enumerate_sampled(

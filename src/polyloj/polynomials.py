@@ -39,6 +39,9 @@ MAX_EXPONENT = 2**31
 # The parser refuses to expand a product or power that might have more
 # terms than this, so untrusted text cannot make it expand without bound.
 MAX_EXPANDED_TERMS = 2000
+# It also refuses one whose coefficients might need more bits than this, so
+# a short text such as 3^2147483647 cannot build a giant integer.
+MAX_COEFFICIENT_BITS = 2**18
 
 
 class PolynomialError(ValueError):
@@ -457,6 +460,17 @@ class MonomialForm:
 # -- parser -----------------------------------------------------------------
 
 
+def _coefficient_bits(f: Polynomial) -> int:
+    """ceil(log2(max(L, S))) for L the lcm of f's denominators and S the
+    sum of |c| * L, so 0 for coefficients +-1.  It bounds log2 of every
+    numerator and denominator of f, and it is at most additive under
+    products (numerators of f * g are at most S_f * S_g, denominators at
+    most L_f * L_g) and at most multiplied by k under f^k."""
+    lcm = math.lcm(*(c.denominator for _, c in f.terms))
+    total = sum(abs(c.numerator) * (lcm // c.denominator) for _, c in f.terms)
+    return (max(lcm, total) - 1).bit_length()
+
+
 class _Parser:
     def __init__(self, text: str, num_vars: int):
         self.text = text
@@ -528,6 +542,13 @@ class _Parser:
                 f"expanding this could give {bound} terms, more than {MAX_EXPANDED_TERMS}"
             )
 
+    def check_coefficients(self, bits: int) -> None:
+        if bits > MAX_COEFFICIENT_BITS:
+            raise self.error(
+                f"expanding this could give {bits}-bit coefficients, "
+                f"more than {MAX_COEFFICIENT_BITS}"
+            )
+
     def parse_factor(self) -> Polynomial:
         base = self.parse_atom()
         if self.peek() == "^":
@@ -542,6 +563,7 @@ class _Parser:
             terms = math.comb(max(len(base.terms), 1) + exp - 1, exp)
             if terms > MAX_EXPANDED_TERMS:
                 self.check_expansion(terms, base.total_degree() * exp)
+            self.check_coefficients(exp * _coefficient_bits(base))
             return base**exp
         return base
 
@@ -553,6 +575,7 @@ class _Parser:
             terms = len(result.terms) * len(factor.terms)
             if terms > MAX_EXPANDED_TERMS:
                 self.check_expansion(terms, result.total_degree() + factor.total_degree())
+            self.check_coefficients(_coefficient_bits(result) + _coefficient_bits(factor))
             result = result * factor
         return result
 

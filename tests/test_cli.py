@@ -222,12 +222,14 @@ def test_parse_error_is_usage_error(capsys):
 
 
 def test_oversized_expansion_is_usage_error(capsys):
-    code, out, err = run(
-        ["polyhedron", "--text", "(x1+x2+x3+1)^60", "--n", "3"], capsys
-    )
-    assert code == 1
-    assert out == ""
-    assert "more than 2000" in err
+    for text, n, message in [
+        ("(x1+x2+x3+1)^60", "3", "more than 2000"),
+        ("3^2147483647*x1", "1", "bit coefficients"),
+    ]:
+        code, out, err = run(["polyhedron", "--text", text, "--n", n], capsys)
+        assert code == 1
+        assert out == ""
+        assert message in err
 
 
 def test_missing_input_is_usage_error(capsys):

@@ -144,6 +144,35 @@ def test_exact_check_two_components():
     assert disjoint.kind == "EmptyZeroSet"
 
 
+def test_exact_check_on_the_slice():
+    # q = (-2, -3) has no +-1 entry: the slice is x2 = 1, where
+    # P(y) = (y^3 + 1)^2 has the repeated root -1, on the sheet x1 < 0.
+    cusp = system_for(["(x1^3 + x2^2)^2"], 2, (-2, -3))
+    evidence = exact_check_2d(cusp)
+    assert evidence.kind == "Witness"
+    assert evidence.witness_exact == ("-1", "1")
+    assert check_witness(cusp, (-1, 1))[0]
+    # The slice root -20000^(1/3) is irrational, but z = y^3 = -20000 is a
+    # rational root of R(z) = (z + 20000)^2, so the witness stays exact.
+    far = system_for(["(x1^3 + 20000*x2^2)^2"], 2, (-2, -3))
+    evidence = exact_check_2d(far)
+    assert evidence.witness_exact == ("-1/20000", "1/400000000")
+    assert check_witness(far, (Fraction(-1, 20000), Fraction(1, 400000000)))[0]
+    # An irrational repeated root 1/sqrt(2) gives a refined float witness.
+    irrational = system_for(["(x1^2 - 2*x2^2)^2"], 2, (-1, -1))
+    evidence = exact_check_2d(irrational)
+    assert evidence.kind == "Witness"
+    assert evidence.witness_exact is None
+    assert evidence.witness[0] == 1.0
+    assert abs(evidence.witness[1] ** 2 - 0.5) < 1e-12
+    assert check_witness(irrational, evidence.witness)[0]
+    # Two components sharing the factor x1^3 + x2^2 meet on it.
+    common = system_for(["x1^3 + x2^2", "(x1^3 + x2^2)*(x1^3 - x2^2)"], 2, (-2, -3))
+    evidence = exact_check_2d(common)
+    assert evidence.kind == "Witness"
+    assert check_witness(common, evidence.witness)[0]
+
+
 def test_exact_check_requires_two_variables():
     sys3 = system_for(["x1 + x2 + x3"], 3, (-1, -1, -1))
     with pytest.raises(ValueError, match="two variables"):
@@ -397,12 +426,13 @@ def test_khovanskii_pinned_degenerate():
         )
 
 
-def test_invariant_failures_raise():
+def test_invariant_failures_raise(monkeypatch):
     # Explicit raises, not asserts: they hold under python -O too.
-    from polyloj.nondegeneracy import _point_from_parameter
+    from polyloj import nondegeneracy
 
-    with pytest.raises(ArithmeticError, match="not primitive"):
-        _point_from_parameter((2, 4), Fraction(1))
+    monkeypatch.setattr(nondegeneracy, "check_witness", lambda system, x: (False, {}))
+    with pytest.raises(ArithmeticError, match="failed its own re-check"):
+        exact_check_2d(system_for(["(x1 - x2)^2"], 2, (-1, -1)))
 
 
 def test_invariant_failures_raise_under_optimize():

@@ -69,9 +69,28 @@ def test_parse_refuses_oversized_expansions():
     with pytest.raises(ParseError, match="2048 terms"):
         parse_polynomial("*".join(f"(x{j}+1)" for j in range(1, 21)), 20)
     assert time.perf_counter() - start < 1.0
-    # A monomial stays a monomial, whatever the power.
+    # A monomial stays a monomial, whatever the power, and coefficients
+    # +-1 (or none) take no bits.
     assert len(parse_polynomial("(2*x1*x2)^100000", 2).terms) == 1
+    assert parse_polynomial("x1^1000000", 2).coeff((1000000, 0)) == 1
+    assert parse_polynomial("(-x1*x2)^300000", 2).coeff((300000, 300000)) == 1
+    assert parse_polynomial("0^300000", 2).is_zero()
     assert len(parse_polynomial("(x1+x2+x3+1)^12", 3).terms) == 455
+
+
+@pytest.mark.parametrize("text", ["3^2147483647", "3^3000000*x1"])
+def test_parse_refuses_giant_coefficients(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="bit coefficients"):
+        parse_polynomial(text, 1)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_parse_bounds_coefficients_of_products():
+    # Each power fits the budget; their product might not.
+    with pytest.raises(ParseError, match="bit coefficients"):
+        parse_polynomial("3^100000*x1*3^100000", 1)
+    assert parse_polynomial("3^100000*x1", 1).coeff((1,)) == 3**100000
 
 
 def test_parse_error_is_polynomial_error():
