@@ -55,39 +55,23 @@ class UnimodularBasis:
 
     def inverse_rows(self) -> tuple[IntVec, ...]:
         """Rows of A^{-1}; integer because |det| = 1."""
-        n = self.n
-        aug = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        reduced, pivots = rref(aug)
-        if pivots != list(range(n)):
-            raise ArithmeticError("basis not invertible")
-        inv = []
-        for i in range(n):
-            row = reduced[i][n:]
-            if any(v.denominator != 1 for v in row):
-                raise ArithmeticError("inverse is not integer")
-            inv.append(tuple(int(v) for v in row))
-        return tuple(inv)
+        inv = _inverse(self.rows)
+        if any(v.denominator != 1 for row in inv for v in row):
+            raise ArithmeticError("inverse is not integer")
+        return tuple(tuple(int(v) for v in row) for row in inv)
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}
 
 
-def _adjugate(mat: list[list[int]]) -> list[list[int]]:
+def _inverse(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Rows of mat^{-1}, from one rref of [mat | I]."""
     m = len(mat)
-    if m == 1:
-        return [[1]]
-    adj = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            minor = [
-                [mat[r][c] for c in range(m) if c != j]
-                for r in range(m)
-                if r != i
-            ]
-            cof = int(det(minor)) * (-1) ** (i + j)
-            adj[j][i] = cof
-    return adj
+    aug = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(mat)]
+    reduced, pivots = rref(aug)
+    if pivots != list(range(m)):
+        raise ArithmeticError("matrix is not invertible")
+    return [row[m:] for row in reduced]
 
 
 class _Parallelepiped:
@@ -105,7 +89,8 @@ class _Parallelepiped:
         self.rows_idx = pivot_cols
         square = [[ws[l][r] for l in range(self.m)] for r in self.rows_idx]
         self.D = int(det(square))
-        self.adj = _adjugate(square)
+        # The adjugate, D times the inverse, has integer entries.
+        self.adj = [[int(self.D * v) for v in row] for row in _inverse(square)]
 
     def coordinates_num(self, z: Sequence[int]) -> Optional[list[int]]:
         """Numerators t_l * D of the solution of W t = z, or None if z is

@@ -122,92 +122,82 @@ def face_system(
 # -- rank matrices -----------------------------------------------------------
 
 
-def _is_exact_point(x: Sequence) -> bool:
-    return all(
-        isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in x
-    )
+def _rational_point(x: Sequence) -> list[Fraction]:
+    """x with each coordinate as the rational it is (a float is one)."""
+    try:
+        return [Fraction(v) for v in x]
+    except (OverflowError, ValueError):
+        raise ValueError("coordinates must be finite") from None
+
+
+def _row_scale(norm: float, degree: int) -> float:
+    """1 + norm^degree, inf when it is too large for a float."""
+    try:
+        return 1.0 + norm**degree
+    except OverflowError:
+        return math.inf
 
 
 def face_rank_matrix(system: FaceSystem, x: Sequence, form: str = "plain"):
     """The p x n weighted Jacobian (x_j df_i/dx_j)(x); form='augmented'
     appends the p x p diagonal block diag(f_i(x)) giving p x (n+p).
 
-    Exact (Fraction entries) when x is rational, floats otherwise.
+    Computed exactly, a float coordinate taken as the rational it is; the
+    entries are Fractions, rounded to floats when x has a float coordinate.
     """
     if form not in ("plain", "augmented"):
         raise ValueError(f"unknown form {form!r}")
-    n = system.num_vars
-    if len(x) != n:
-        raise ValueError("point dimension mismatch")
     if any(v == 0 for v in x):
         raise ValueError("rank matrices require all coordinates nonzero")
-    exact = _is_exact_point(x)
+    point = _rational_point(x)
+    p = len(system.face_polys)
     rows = []
     for i, fp in enumerate(system.face_polys):
-        if exact:
-            row = fp.weighted_gradient_exact(x)
-            if form == "augmented":
-                row += [
-                    fp.evaluate_exact(x) if k == i else Fraction(0)
-                    for k in range(len(system.face_polys))
-                ]
-        else:
-            pt = [float(v) for v in x]
-            row = [pt[j] * fp.partial(j + 1).evaluate_float(pt) for j in range(n)]
-            if form == "augmented":
-                row += [
-                    fp.evaluate_float(pt) if k == i else 0.0
-                    for k in range(len(system.face_polys))
-                ]
+        row = fp.weighted_gradient_exact(point)
+        if form == "augmented":
+            row += [fp.evaluate_exact(point) if k == i else Fraction(0) for k in range(p)]
         rows.append(row)
+    if any(isinstance(v, float) for v in x):
+        return [[float(v) for v in row] for row in rows]
     return rows
 
 
-def _minors(system: FaceSystem, x: Sequence) -> list:
-    """All p x p minors of the plain weighted Jacobian at x (exact when x
-    is rational)."""
-    rows = face_rank_matrix(system, x, form="plain")
-    p = len(rows)
-    n = system.num_vars
-    exact = _is_exact_point(x)
-    out = []
-    for cols in itertools.combinations(range(n), p):
-        sub = [[row[c] for c in cols] for row in rows]
-        if exact:
-            out.append(exact_det(sub))
-        else:
-            out.append(float(np.linalg.det(np.array(sub, dtype=float))))
-    return out
+def _minors(system: FaceSystem, x: Sequence[Fraction]) -> list[Fraction]:
+    """All p x p minors of the plain weighted Jacobian at the rational
+    point x, exactly."""
+    rows = face_rank_matrix(system, x)
+    return [
+        exact_det([[row[c] for c in cols] for row in rows])
+        for cols in itertools.combinations(range(system.num_vars), len(rows))
+    ]
 
 
 def check_witness(system: FaceSystem, x: Sequence) -> tuple[bool, dict]:
-    """Independent re-check of a degeneracy witness.
+    """Independent exact re-check of a degeneracy witness.
 
-    Accepts iff every |f_i(x)| < RESIDUAL_TOL * (1 + ||x||^deg_i) and every
-    p x p minor of the weighted Jacobian is below MINOR_TOL in magnitude.
+    A float coordinate is taken as the rational it is, so every point is
+    checked in exact arithmetic.  With s_i = 1 + ||x||^deg_i, accepts iff
+    every |f_i(x)| < RESIDUAL_TOL * s_i and every p x p minor of the
+    weighted Jacobian is below MINOR_TOL * s_1 ... s_p in magnitude, the
+    scale of a product of p rows.  A zero or non-finite coordinate fails.
     """
     if any(v == 0 for v in x):
         return False, {"reason": "zero coordinate"}
-    exact = _is_exact_point(x)
-    xf = [float(v) for v in x]
-    norm = math.sqrt(sum(v * v for v in xf))
-    f_residuals = []
-    ok = True
-    for fp in system.face_polys:
-        val = fp.evaluate_exact(x) if exact else fp.evaluate_float(xf)
-        scale = 1.0 + norm ** fp.total_degree()
-        f_residuals.append(abs(float(val)))
-        if abs(float(val)) >= RESIDUAL_TOL * scale:
-            ok = False
-    minors = [abs(float(m)) for m in _minors(system, x)]
-    minor_max = max(minors) if minors else 0.0
-    if minor_max >= MINOR_TOL:
-        ok = False
+    try:
+        point = _rational_point(x)
+    except ValueError:
+        return False, {"reason": "non-finite coordinate"}
+    norm = math.sqrt(sum(v * v for v in map(float, point)))
+    scales = [_row_scale(norm, fp.total_degree()) for fp in system.face_polys]
+    f_values = [fp.evaluate_exact(point) for fp in system.face_polys]
+    minors = [abs(m) for m in _minors(system, point)]
+    ok = all(abs(v) < RESIDUAL_TOL * s for v, s in zip(f_values, scales))
+    ok = ok and all(m < MINOR_TOL * math.prod(scales) for m in minors)
     return ok, {
-        "f_residuals": f_residuals,
-        "minor_max": minor_max,
+        "f_residuals": [abs(float(v)) for v in f_values],
+        "minor_max": float(max(minors, default=0)),
         "norm": norm,
-        "exact": exact,
+        "exact": True,
     }
 
 
@@ -335,29 +325,23 @@ def _witness_evidence(system: FaceSystem, j: int, g_poly) -> Evidence:
     exact_roots = rational_roots(g_poly)
     if exact_roots:
         c = -pow(q[k], -1, m) % m
-        points = [[exact_roots[0] ** ((c * qi + (i == k)) // m) for i, qi in enumerate(q)]]
-        failure = "exact witness failed its own re-check"
+        x = [exact_roots[0] ** ((c * qi + (i == k)) // m) for i, qi in enumerate(q)]
     else:
         intervals = isolate_real_roots(g_poly)
         if not intervals:
             raise ArithmeticError("root count and isolation disagree")
-        roots = (refine_root(g_poly, intervals[0], iterations=it) for it in (120, 240))
-        points = (
-            [math.copysign(abs(z) ** (1 / m), z) if i == k else 1.0 for i in range(2)]
-            for z in roots
-        )
-        failure = "witness refinement failed to meet tolerance"
-    for x in points:
-        ok, info = check_witness(system, x)
-        if ok:
-            return Evidence(
-                kind="Witness",
-                witness=tuple(float(v) for v in x),
-                witness_exact=tuple(str(v) for v in x) if exact_roots else None,
-                residual_norm=max(info["f_residuals"], default=0.0),
-                minor_max=info["minor_max"],
-            )
-    raise ArithmeticError(failure)
+        z = refine_root(g_poly, intervals[0])
+        x = [math.copysign(abs(z) ** (1 / m), z) if i == k else 1.0 for i in range(2)]
+    ok, info = check_witness(system, x)
+    if not ok:
+        raise ArithmeticError("the witness failed its own re-check")
+    return Evidence(
+        kind="Witness",
+        witness=tuple(float(v) for v in x),
+        witness_exact=tuple(str(v) for v in x) if exact_roots else None,
+        residual_norm=max(info["f_residuals"], default=0.0),
+        minor_max=info["minor_max"],
+    )
 
 
 def exact_check_2d(system: FaceSystem) -> Evidence:
@@ -549,10 +533,10 @@ def witness_search(
     weighted Jacobian.  The system is compiled once per call into a
     _FaceKernel, which gives the residual and its closed-form Jacobian in
     s to least_squares.  Accepted witnesses pass check_witness, which
-    re-evaluates on its own exact and compensated evaluators; rational
-    snapping is attempted so clean witnesses come back exact.  When no
-    witness is found the result is None, and stats (if given) receives
-    the best residual reached and the number of failed solver calls.
+    re-evaluates them in exact arithmetic; rational snapping is attempted
+    so clean witnesses come back exact.  When no witness is found the
+    result is None, and stats (if given) receives the best residual
+    reached and the number of failed solver calls.
 
     A candidate whose infimum is approached only toward the coordinate
     axes (or toward infinity) is not a zero of the system on (R*)^n even

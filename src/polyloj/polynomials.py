@@ -9,8 +9,9 @@ differentiation and the support/face operations used by the polyhedral
 layer all live here, and so does MonomialForm, the one float evaluator:
 the witness search and the lojasiewicz estimators compile their
 polynomials into it once per call, and evaluate_float_batch is a call
-into it. The compensated (Kahan) evaluate_float is kept only as an
-independent re-check of float results (witnesses, evidence samples).
+into it. The compensated (Kahan) evaluate_float is a public scalar
+evaluator, the tests' oracle for MonomialForm, and what the escape-curve
+evidence is evaluated with; witnesses are re-checked exactly instead.
 
 Text grammar (variables are x1..xN, no implicit multiplication):
 
@@ -39,9 +40,11 @@ MAX_EXPONENT = 2**31
 # The parser refuses to expand a product or power that might have more
 # terms than this, so untrusted text cannot make it expand without bound.
 MAX_EXPANDED_TERMS = 2000
-# It also refuses one whose coefficients might need more bits than this, so
-# a short text such as 3^2147483647 cannot build a giant integer.
-MAX_COEFFICIENT_BITS = 2**18
+# It also refuses one whose term bound times its coefficient-bit bound
+# exceeds this, so neither a short text such as 3^2147483647 (one giant
+# integer) nor (2^129*x1 + 2^129)^400 (401 coefficients of up to 52000
+# bits) gets built.
+MAX_EXPANDED_BITS = 2**18
 
 
 class PolynomialError(ValueError):
@@ -532,21 +535,21 @@ class _Parser:
             return Polynomial.constant(self.num_vars, self.parse_number())
         raise self.error("expected a variable, number or parenthesized expression")
 
-    def check_expansion(self, terms: int, degree: int) -> None:
+    def check_expansion(self, terms: int, degree: int, bits: int) -> None:
         """Refuse an expansion with up to `terms` terms of total degree up
-        to `degree` when the smaller of that count and the number of
-        monomials of that degree exceeds MAX_EXPANDED_TERMS."""
-        bound = min(terms, math.comb(degree + self.num_vars, self.num_vars))
-        if bound > MAX_EXPANDED_TERMS:
+        to `degree`, with coefficients of up to `bits` bits, when its term
+        bound (the smaller of `terms` and the number of monomials of that
+        degree) exceeds MAX_EXPANDED_TERMS, or that bound times `bits`
+        exceeds MAX_EXPANDED_BITS."""
+        terms = min(terms, math.comb(degree + self.num_vars, self.num_vars))
+        if terms > MAX_EXPANDED_TERMS:
             raise self.error(
-                f"expanding this could give {bound} terms, more than {MAX_EXPANDED_TERMS}"
+                f"expanding this could give {terms} terms, more than {MAX_EXPANDED_TERMS}"
             )
-
-    def check_coefficients(self, bits: int) -> None:
-        if bits > MAX_COEFFICIENT_BITS:
+        if terms * bits > MAX_EXPANDED_BITS:
             raise self.error(
-                f"expanding this could give {bits}-bit coefficients, "
-                f"more than {MAX_COEFFICIENT_BITS}"
+                f"expanding this could give {terms} x {bits}-bit coefficients, "
+                f"more than {MAX_EXPANDED_BITS} bits in all"
             )
 
     def parse_factor(self) -> Polynomial:
@@ -560,10 +563,11 @@ class _Parser:
                 raise self.error(f"exponent exceeds {MAX_EXPONENT}")
             # base^exp has at most as many terms as there are monomials of
             # degree exp in the terms of base.
-            terms = math.comb(max(len(base.terms), 1) + exp - 1, exp)
-            if terms > MAX_EXPANDED_TERMS:
-                self.check_expansion(terms, base.total_degree() * exp)
-            self.check_coefficients(exp * _coefficient_bits(base))
+            self.check_expansion(
+                math.comb(max(len(base.terms), 1) + exp - 1, exp),
+                base.total_degree() * exp,
+                exp * _coefficient_bits(base),
+            )
             return base**exp
         return base
 
@@ -572,10 +576,11 @@ class _Parser:
         while self.peek() == "*":
             self.take("*")
             factor = self.parse_factor()
-            terms = len(result.terms) * len(factor.terms)
-            if terms > MAX_EXPANDED_TERMS:
-                self.check_expansion(terms, result.total_degree() + factor.total_degree())
-            self.check_coefficients(_coefficient_bits(result) + _coefficient_bits(factor))
+            self.check_expansion(
+                len(result.terms) * len(factor.terms),
+                result.total_degree() + factor.total_degree(),
+                _coefficient_bits(result) + _coefficient_bits(factor),
+            )
             result = result * factor
         return result
 

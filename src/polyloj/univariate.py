@@ -8,8 +8,9 @@ only the final numeric refinement of an isolated root returns a float.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 Coeffs = list[Fraction]
 
@@ -30,13 +31,6 @@ def eval_at(p: Sequence[Fraction], x: Fraction) -> Fraction:
     total = Fraction(0)
     for c in reversed(trim(p)):
         total = total * x + c
-    return total
-
-
-def eval_float(p: Sequence[Fraction], x: float) -> float:
-    total = 0.0
-    for c in reversed(trim(p)):
-        total = total * x + float(c)
     return total
 
 
@@ -176,89 +170,64 @@ def isolate_real_roots(p: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]
     return out
 
 
+def _shrink(
+    q: Coeffs, interval: tuple[Fraction, Fraction], narrow
+) -> tuple[Fraction, Fraction]:
+    """Bisect the isolating interval (lo, hi] of a simple root of q until
+    narrow(lo, hi); a root hit exactly comes back as (root, root).  A
+    midpoint where q has the sign of q(hi) lies above the root."""
+    lo, hi = interval
+    value = eval_at(q, hi)
+    if value == 0:
+        return hi, hi
+    above = value > 0
+    while not narrow(lo, hi):
+        mid = (lo + hi) / 2
+        value = eval_at(q, mid)
+        if value == 0:
+            return mid, mid
+        if (value > 0) == above:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def refine_root(
     p: Sequence[Fraction], interval: tuple[Fraction, Fraction], iterations: int = 80
 ) -> float:
-    """Refine an isolating interval of a squarefree polynomial to a float.
+    """The root of p in its isolating interval (lo, hi], as a float.
 
-    Bisection on the sign change, then a few float Newton polish steps
-    (kept inside the interval)."""
+    Exact bisection until the width is at most 2^-iterations of the larger
+    endpoint magnitude, well below the root's float spacing: that takes
+    `iterations` steps once the interval is within a factor 2 of the root.
+    A root at 0 is returned at once."""
     q = squarefree_part(p)
     lo, hi = interval
-    flo = eval_at(q, lo)
-    fhi = eval_at(q, hi)
-    if fhi == 0:
-        root = hi
-        return float(root)
-    if flo == 0:
-        # (lo, hi] is half-open; nudge just inside.
-        lo = (lo + hi) / 2 if eval_at(q, (lo + hi) / 2) == 0 else lo
-    for _ in range(iterations):
-        mid = (lo + hi) / 2
-        fm = eval_at(q, mid)
-        if fm == 0:
-            return float(mid)
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo < Fraction(1, 10**18) * max(1, abs(hi)):
-            break
-    x = float((lo + hi) / 2)
-    dq = derivative(q)
-    for _ in range(8):
-        fx = eval_float(q, x)
-        dfx = eval_float(dq, x)
-        if dfx == 0:
-            break
-        step = fx / dfx
-        if not (float(lo) - 1e-9 <= x - step <= float(hi) + 1e-9):
-            break
-        x -= step
-        if step == 0:
-            break
-    return x
+    if lo < 0 <= hi and eval_at(q, Fraction(0)) == 0:
+        return 0.0
+    lo, hi = _shrink(q, interval, lambda lo, hi: hi - lo <= max(-lo, hi) / 2**iterations)
+    return float((lo + hi) / 2)
 
 
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots, by the rational root theorem on the primitive
-    integer form. Cheap (small candidate sets in this package's usage)."""
-    q = trim(p)
+    """All nonzero rational roots, in increasing order.  A root a/b in
+    lowest terms has b | L, the leading coefficient of the primitive
+    integer form, and two such fractions are at least 1/L^2 apart.  So
+    each isolating interval is bisected until narrower than 1/(2 L^2), and
+    the fraction nearest its midpoint with denominator at most L is the
+    only candidate, tested exactly."""
+    q = squarefree_part(p)
     if degree(q) < 1:
         return []
-    denom_lcm = 1
-    for c in q:
-        denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in q]
-    while ints and ints[0] == 0:
-        ints.pop(0)  # factor out x; root 0 is excluded by the callers
-    if not ints:
-        return []
-    a0, an = abs(ints[0]), abs(ints[-1])
+    scale = math.lcm(*(c.denominator for c in q))
+    ints = [int(c * scale) for c in q]
+    lead = abs(ints[-1]) // math.gcd(*ints)
+    width = Fraction(1, 2 * lead**2)
     roots = []
-    for pnum in _divisors(a0):
-        for pden in _divisors(an):
-            for cand in (Fraction(pnum, pden), Fraction(-pnum, pden)):
-                if eval_at(q, cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _divisors(v: int) -> list[int]:
-    v = abs(v)
-    if v == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= v:
-        if v % d == 0:
-            out.append(d)
-            out.append(v // d)
-        d += 1
-    return sorted(set(out))
+    for interval in isolate_real_roots(q):
+        lo, hi = _shrink(q, interval, lambda lo, hi: hi - lo < width)
+        cand = ((lo + hi) / 2).limit_denominator(lead)
+        if cand != 0 and eval_at(q, cand) == 0:
+            roots.append(cand)
+    return roots

@@ -5,12 +5,14 @@ the JSON schemas, and the exit-code contract is pinned."""
 import argparse
 import io
 import json
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import polyloj.cli as cli
+from polyloj import PolynomialMapping, check_witness, nondegenerate_at_infinity, parse_polynomial
 from polyloj.cli import GRAMMAR, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -108,6 +110,42 @@ def test_check_nondegenerate_degenerate_witness(capsys):
         ["check-nondegenerate", "--text", "(x1 - x2)^2", "--n", "2"], capsys
     )
     assert report["result"]["verdict"] == "Degenerate"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Irrational double roots, refined to float witnesses that must pass
+        # the exact re-check; the second one's minor (about 1e-3 at
+        # |x| ~ 1414) fits only a bound scaled like the residuals.
+        "(x1^2 - 6*x1*x2 - 1/7*x2^2)^2*x2^2 + 1",
+        "(x2^2 - 2000000*x1^2)^2 + 1",
+    ],
+)
+def test_check_nondegenerate_float_witness_rechecks(text, capsys):
+    report = run_report(["check-nondegenerate", "--text", text, "--n", "2"], capsys)
+    assert report["result"]["verdict"] == "Degenerate"
+    F = PolynomialMapping((parse_polynomial(text, 2),))
+    for entry in nondegenerate_at_infinity(F).witness_entries():
+        assert check_witness(entry.system, entry.evidence.witness)[0]
+
+
+def test_check_nondegenerate_exact_witness_with_a_large_root(capsys):
+    # The rational root 10^-20 is recovered from its isolating interval,
+    # not by trial division up to the square root of 10^20.
+    start = time.perf_counter()
+    report = run_report(
+        ["check-nondegenerate", "--text", "(x1 - 100000000000000000000*x2)^2 + 1", "--n", "2"],
+        capsys,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert report["result"]["verdict"] == "Degenerate"
+    witnesses = [
+        e["evidence"]["witness_exact"]
+        for e in report["result"]["tuples"]
+        if e["evidence"]["kind"] == "Witness"
+    ]
+    assert witnesses == [["1", "1/100000000000000000000"]]
 
 
 def test_fit_exponents_report(capsys):
@@ -225,6 +263,7 @@ def test_oversized_expansion_is_usage_error(capsys):
     for text, n, message in [
         ("(x1+x2+x3+1)^60", "3", "more than 2000"),
         ("3^2147483647*x1", "1", "bit coefficients"),
+        ("(2^129*x1+2^129)^400", "1", "bits in all"),
     ]:
         code, out, err = run(["polyhedron", "--text", text, "--n", n], capsys)
         assert code == 1

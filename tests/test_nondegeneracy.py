@@ -109,6 +109,44 @@ def test_check_witness_and_rescaling():
     assert check_witness(sys1, (0, 1))[0] is False
 
 
+def test_check_witness_is_exact_for_float_points():
+    # A float is the rational it is: the verdict does not depend on whether
+    # the point comes as floats or as the same values in Fractions.
+    rnd = util.make_rng(611)
+    systems = [
+        system_for(["(x1^2 - 2*x2^2)^2"], 2, (-1, -1)),
+        system_for(["(x1 - x2)^2", "x1^2 - x2^2"], 2, (-1, -1)),
+        system_for(["(x1 - x2)^2 + x3^2"], 3, (-1, -1, -1)),
+    ]
+    verdicts = set()
+    for system in systems:
+        for _ in range(30):
+            x = [rnd.choice([1.0, -1.0]) * rnd.uniform(0.1, 3.0) for _ in range(system.num_vars)]
+            if rnd.random() < 0.5:
+                x[1] = x[0] * rnd.choice([1.0, 1 + 1e-12, 1 + 1e-6])
+            ok, info = check_witness(system, x)
+            assert check_witness(system, [Fraction(v) for v in x]) == (ok, info)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+    # The refined witness of an irrational double root, as floats.
+    x = exact_check_2d(systems[0]).witness
+    assert check_witness(systems[0], x)[0]
+    assert check_witness(systems[0], [Fraction(v) for v in x])[0]
+    # The float nearest the exact witness (1, -32/3), away from the unit torus.
+    far = system_for(["-3/32*x1^2*x2^8 - 2*x1*x2^7 - 32/3*x2^6"], 2, (1, -1))
+    assert check_witness(far, (1.0, -32 / 3))[0]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_check_witness_refuses_non_finite_points(bad):
+    system = system_for(["(x1 - x2)^2"], 2, (-1, -1))
+    ok, info = check_witness(system, (1.0, bad))
+    assert ok is False
+    assert info == {"reason": "non-finite coordinate"}
+    with pytest.raises(ValueError, match="finite"):
+        face_rank_matrix(system, (bad, 1.0))
+
+
 def test_exact_check_pinned_degenerate_pair():
     # (x1 - x2)^2 is the canonical degenerate example: its whole Newton
     # segment gives P(y) = (1 - y)^2 with the repeated root 1.

@@ -1,6 +1,8 @@
 """Exact univariate machinery: Sturm counting, isolation, refinement, and
 rational-root recovery, cross-checked against sympy."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -191,3 +193,32 @@ def test_rational_roots_recovered():
         # Tack on an irreducible quadratic so spurious candidates exist.
         p = _mul(p, [Fraction(1), Fraction(0), Fraction(1)])
         assert set(rational_roots(p)) == wanted
+
+
+@pytest.mark.parametrize(
+    "root", [Fraction(10**40 + 7, 3), Fraction(-5, 10**40 + 1), Fraction(17 * 10**40, 10**40 - 3)]
+)
+def test_rational_roots_with_large_numerators_and_denominators(root):
+    # A squared factor and an irrational pair around the root: the candidate
+    # comes from the isolating interval, so its size costs bisection steps,
+    # not divisors.
+    p = _mul(_mul([-root, Fraction(1)], [-root, Fraction(1)]), [Fraction(-2), Fraction(0), Fraction(1)])
+    start = time.perf_counter()
+    assert rational_roots(p) == [root]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rational_root_on_an_interval_end():
+    # (y + 1)(y - 1)(y + 1/2): isolation puts -1 on the right end of (-2, -1].
+    p = _mul(_mul([Fraction(1), Fraction(1)], [Fraction(-1), Fraction(1)]), [Fraction(1, 2), Fraction(1)])
+    assert (Fraction(-2), Fraction(-1)) in isolate_real_roots(p)
+    assert rational_roots(p) == [Fraction(-1), Fraction(-1, 2), Fraction(1)]
+    assert refine_root(p, (Fraction(-2), Fraction(-1))) == -1.0
+
+
+def test_refine_root_is_relative():
+    # The positive root sqrt(2) * 10^-30 lies far below any absolute width.
+    p = [Fraction(-2, 10**60), Fraction(0), Fraction(1)]
+    lo, hi = isolate_real_roots(p)[1]
+    expected = math.sqrt(2) * 1e-30
+    assert abs(refine_root(p, (lo, hi)) - expected) <= 1e-15 * expected
