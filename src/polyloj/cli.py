@@ -58,16 +58,16 @@ polynomial text grammar:
   number   := digits ['/' digits]   (nonnegative rational)
 examples: "x1^2 + x2^4", "(x1*x2 - 1)^2", "3/2*x1 - 2"
 
-flags:
+flags shared by several subcommands (see `polyloj COMMAND --help` for all):
   --n INT         number of variables for --text input
   --text EXPR     polynomial in the grammar above (repeat for mappings)
   --json FILE     polynomial or mapping as JSON ('-' reads stdin)
   --seed INT      RNG seed (default 0)
-  --trials INT    Monte-Carlo trial count
-  --epsilon X     perturbation size
-  --budget INT    search / estimation budget
-  --mode M        exact | search | sampled | auto
   --out FILE      write the JSON report to FILE instead of stdout
+  --budget INT    search / estimation budget (at least 1)
+  --trials INT    random trial count (at least 1)
+  --samples INT   sample count (at least 1)
+  --mode M        exact | search | sampled | auto (check-nondegenerate)
 """
 
 
@@ -75,6 +75,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         sys.stderr.write(f"usage error: {message}\n\n{GRAMMAR}")
         raise SystemExit(1)
+
+
+def positive_int(text: str) -> int:
+    """argparse type of --budget, --trials and --samples: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _read_json_source(path: str) -> dict:
@@ -467,7 +475,7 @@ def build_parser() -> _Parser:
         choices=("auto", "exact", "search", "sampled"),
         default="auto",
     )
-    sp.add_argument("--budget", type=int, default=2000, help="search attempts")
+    sp.add_argument("--budget", type=positive_int, default=2000, help="search attempts")
     sp.set_defaults(func=cmd_check_nondegenerate)
 
     sp = sub.add_parser(
@@ -489,7 +497,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("fit-exponents", help="fit growth exponents from mu(t)")
     _add_input_flags(sp)
     _add_common_flags(sp)
-    sp.add_argument("--budget", type=int, default=48, help="rays per level")
+    sp.add_argument("--budget", type=positive_int, default=48, help="rays per level")
     sp.set_defaults(func=cmd_fit_exponents)
 
     sp = sub.add_parser(
@@ -500,7 +508,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=100000, help="box samples")
+    sp.add_argument("--samples", type=positive_int, default=100000, help="box samples")
     sp.add_argument("--halfwidth", type=float, default=10.0, help="box halfwidth")
     sp.set_defaults(func=cmd_verify_inequality)
 
@@ -518,14 +526,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--constraint", help="constraint polynomial text")
     sp.add_argument("--level", type=float, help="constraint level r")
     sp.add_argument("--radii", help="comma-separated radii, e.g. 10,100,1000")
-    sp.add_argument("--budget", type=int, default=24, help="random starts per radius")
+    sp.add_argument(
+        "--budget", type=positive_int, default=24, help="random starts per radius"
+    )
     sp.set_defaults(func=cmd_ktilde_probe)
 
     sp = sub.add_parser("multiplier", help="even power N with h^N = g * (continuous)")
     _add_input_flags(sp)
     _add_common_flags(sp)
     sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=100000, help="ball samples")
+    sp.add_argument("--samples", type=positive_int, default=100000, help="ball samples")
     sp.set_defaults(func=cmd_multiplier)
 
     sp = sub.add_parser(
@@ -535,8 +545,8 @@ def build_parser() -> _Parser:
     _add_common_flags(sp)
     sp.add_argument("--supports", help="JSON list of supports")
     sp.add_argument("--coeffs", help="JSON pinned coefficients per component")
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--budget", type=int, default=2000, help="search attempts")
+    sp.add_argument("--trials", type=positive_int, default=100)
+    sp.add_argument("--budget", type=positive_int, default=2000, help="search attempts")
     sp.set_defaults(func=cmd_genericity)
 
     sp = sub.add_parser(
@@ -551,7 +561,7 @@ def build_parser() -> _Parser:
         help="convenient pair: fitted exponents, inequality, multiplier",
     )
     _add_common_flags(sp)
-    sp.add_argument("--budget", type=int, default=48, help="rays per level")
+    sp.add_argument("--budget", type=positive_int, default=48, help="rays per level")
     sp.set_defaults(func=cmd_reproduce_example32)
 
     return parser

@@ -13,11 +13,14 @@ subset of those, so every replacement the source construction would make is
 available; the parallelepiped is used because emptiness of the simplex
 alone does not force |det| = 1 once n >= 3 (Reeve simplices), while an
 empty fundamental parallelepiped is exactly the basis property.
+
+Its lattice points are listed from an integer echelon form, at a cost that
+follows their number; more than MAX_PARALLELEPIPED_POINTS are refused.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,6 +34,9 @@ IntVec = tuple[int, ...]
 
 # The package exports linalg.primitive_vector under this name.
 primitive = primitive_vector
+
+# Completion refuses a parallelepiped with more lattice points than this.
+MAX_PARALLELEPIPED_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -54,8 +60,10 @@ class UnimodularBasis:
         return tuple(int(dot(r, kappa)) for r in self.rows)
 
     def inverse_rows(self) -> tuple[IntVec, ...]:
-        """Rows of A^{-1}; integer because |det| = 1."""
-        inv = _inverse(self.rows)
+        """Rows of A^{-1}, from one rref of [A | I]; integer because |det| = 1."""
+        eye = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+        reduced, _ = rref([list(r) + e for r, e in zip(self.rows, eye)])
+        inv = [row[self.n :] for row in reduced]
         if any(v.denominator != 1 for row in inv for v in row):
             raise ArithmeticError("inverse is not integer")
         return tuple(tuple(int(v) for v in row) for row in inv)
@@ -64,91 +72,50 @@ class UnimodularBasis:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}
 
 
-def _inverse(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Rows of mat^{-1}, from one rref of [mat | I]."""
-    m = len(mat)
-    aug = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(mat)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(m)):
-        raise ArithmeticError("matrix is not invertible")
-    return [row[m:] for row in reduced]
+def _parallelepiped_points(ws: Sequence[IntVec]) -> list[IntVec]:
+    """Lattice points of the half-open box {sum t_l w_l : 0 <= t_l < 1},
+    ws independent integer vectors (the origin included).
 
-
-class _Parallelepiped:
-    """Half-open box {sum t_l w_l : 0 <= t_l < 1} for independent integer
-    vectors w_l, with exact integer membership tests."""
-
-    def __init__(self, ws: list[IntVec]):
-        self.ws = ws
-        self.m = len(ws)
-        self.n = len(ws[0])
-        mat_t = [[w[j] for j in range(self.n)] for w in ws]  # m rows x n cols
-        _, pivot_cols = rref(mat_t)
-        if len(pivot_cols) != self.m:
-            raise ValueError("vectors are linearly dependent")
-        self.rows_idx = pivot_cols
-        square = [[ws[l][r] for l in range(self.m)] for r in self.rows_idx]
-        self.D = int(det(square))
-        # The adjugate, D times the inverse, has integer entries.
-        self.adj = [[int(self.D * v) for v in row] for row in _inverse(square)]
-
-    def coordinates_num(self, z: Sequence[int]) -> Optional[list[int]]:
-        """Numerators t_l * D of the solution of W t = z, or None if z is
-        outside the column span."""
-        zr = [z[r] for r in self.rows_idx]
-        t_num = [sum(self.adj[l][k] * zr[k] for k in range(self.m)) for l in range(self.m)]
-        # consistency on the remaining rows
-        for j in range(self.n):
-            if j in self.rows_idx:
-                continue
-            if sum(self.ws[l][j] * t_num[l] for l in range(self.m)) != self.D * z[j]:
-                return None
-        return t_num
-
-    def lattice_points(self) -> list[IntVec]:
-        """All lattice points in the half-open box (includes the origin)."""
-        lo = [sum(min(0, w[j]) for w in self.ws) for j in range(self.n)]
-        hi = [sum(max(0, w[j]) for w in self.ws) for j in range(self.n)]
-        out = []
-        D = self.D
-        for z in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(self.n)]):
-            t_num = self.coordinates_num(z)
-            if t_num is None:
-                continue
-            if D > 0:
-                if all(0 <= t < D for t in t_num):
-                    out.append(z)
-            else:
-                if all(D < t <= 0 for t in t_num):
-                    out.append(z)
-        return out
-
-
-def simplex_lattice_points(ws: Sequence[IntVec]) -> list[IntVec]:
-    """All lattice points of conv({0} U {ws}), ws linearly independent.
-
-    Exact: bounding-box scan plus barycentric membership (0 <= t_l,
-    sum t_l <= 1). Used by the completion tests as an independent oracle
-    and exported for them.
+    Unimodular row steps bring W, the w_l as columns, to an upper-triangular
+    T with positive diagonal; z = W t is integer exactly when y = T t is.
+    From the last row up, y_i runs over T_ii consecutive integers, so there
+    are prod T_ii points, refused above MAX_PARALLELEPIPED_POINTS before any
+    is listed.
     """
-    ws = [tuple(int(c) for c in w) for w in ws]
-    box = _Parallelepiped(list(ws))
-    n = box.n
-    lo = [min(0, min(w[j] for w in ws)) for j in range(n)]
-    hi = [max(0, max(w[j] for w in ws)) for j in range(n)]
-    out = []
-    D = box.D
-    for z in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(n)]):
-        t_num = box.coordinates_num(z)
-        if t_num is None:
-            continue
-        if D > 0:
-            if all(t >= 0 for t in t_num) and sum(t_num) <= D:
-                out.append(z)
-        else:
-            if all(t <= 0 for t in t_num) and sum(t_num) >= D:
-                out.append(z)
-    return sorted(out)
+    m, n = len(ws), len(ws[0])
+    tri = [[w[r] for w in ws] for r in range(n)]
+    for c in range(m):
+        while not tri[c][c] or any(tri[r][c] for r in range(c + 1, n)):
+            rows = [r for r in range(c, n) if tri[r][c]]
+            if not rows:
+                raise ValueError("vectors are linearly dependent")
+            p = min(rows, key=lambda r: abs(tri[r][c]))
+            tri[c], tri[p] = tri[p], tri[c]
+            for r in range(c + 1, n):
+                f = tri[r][c] // tri[c][c]
+                tri[r] = [a - f * b for a, b in zip(tri[r], tri[c])]
+        if tri[c][c] < 0:
+            tri[c] = [-v for v in tri[c]]
+    scale = math.prod(tri[i][i] for i in range(m))
+    if scale > MAX_PARALLELEPIPED_POINTS:
+        raise ValueError(
+            f"the parallelepiped holds {scale} lattice points; at most "
+            f"{MAX_PARALLELEPIPED_POINTS} are listed"
+        )
+    # Each tail holds the scaled coordinates scale * t_i, ..., scale * t_{m-1}.
+    tails: list[list[int]] = [[]]
+    for i in reversed(range(m)):
+        d = tri[i][i]
+        grown = []
+        for tail in tails:
+            s = sum(tri[i][j] * a for j, a in zip(range(i + 1, m), tail))
+            lo = -(-s // scale)
+            grown.extend([(y * scale - s) // d] + tail for y in range(lo, lo + d))
+        tails = grown
+    return [
+        tuple(sum(a * w[j] for a, w in zip(tail, ws)) // scale for j in range(n))
+        for tail in tails
+    ]
 
 
 def unimodular_complete(
@@ -165,6 +132,8 @@ def unimodular_complete(
     basis vectors that keep independence, and each replacement picks the
     lexicographically smallest eligible lattice point. The replacement loop
     asserts that the outstanding lattice-point count strictly decreases.
+    Each candidate parallelepiped is listed point by point; one with more
+    than MAX_PARALLELEPIPED_POINTS lattice points raises ValueError.
     """
     q_list = [tuple(int(c) for c in q) for q in q_list]
     support = [tuple(int(c) for c in p) for p in support]
@@ -204,10 +173,7 @@ def unimodular_complete(
         v = candidate
         prev_count: Optional[int] = None
         while True:
-            box = _Parallelepiped(tilde + [v])
-            extras = sorted(
-                set(box.lattice_points()) - {(0,) * n}
-            )
+            extras = sorted(z for z in _parallelepiped_points(tilde + [v]) if any(z))
             if not extras:
                 tilde.append(v)
                 break

@@ -5,6 +5,7 @@ the JSON schemas, and the exit-code contract is pinned."""
 import argparse
 import io
 import json
+import re
 import time
 from pathlib import Path
 
@@ -198,6 +199,33 @@ def test_complete_basis_support_from_text(capsys):
     assert report["inputs"][1]["sha256"] == input_hash("[[1, 0], [1, 1]]")
 
 
+def test_complete_basis_large_simplex_is_fast(capsys):
+    start = time.perf_counter()
+    report = run_report(
+        ["complete-basis", "--q-list", "[[127,113,109]]", "--support", "[[0,0,0]]"],
+        capsys,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert report["result"]["basis"]["rows"] == [
+        [127, 113, 109],
+        [1, 0, 0],
+        [32, 28, 27],
+    ]
+
+
+def test_complete_basis_refuses_too_many_lattice_points(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        ["complete-basis", "--q-list", "[[1,0,0],[0,1000000,0]]",
+         "--support", "[[0,0,0]]"],
+        capsys,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert out == ""
+    assert "lattice points" in err
+
+
 def test_stdout_is_deterministic(capsys):
     argv = ["check-nondegenerate", "--text", G31, "--text", H31, "--n", "2",
             "--seed", "3"]
@@ -302,6 +330,43 @@ def test_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["polyhedron", "--bogus"])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-nondegenerate", "--n", "3", "--text",
+         "x1^2+x2^2+x3^2-x1*x2*x3", "--budget", "-3"],
+        ["check-nondegenerate", "--n", "2", "--text", G32, "--budget", "0"],
+        ["genericity", "--n", "2", "--text", G32, "--trials", "0"],
+        ["verify-inequality", "--text", G32, "--text", H32, "--n", "2",
+         "--alpha", "0.5", "--beta", "1.0", "--c", "1.0", "--samples", "0"],
+    ],
+    ids=["budget-negative", "budget-zero", "trials-zero", "samples-zero"],
+)
+def test_count_below_one_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err
+
+
+def test_grammar_names_only_real_flags():
+    parser = cli.build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    accepted = {
+        flag
+        for sp in sub.choices.values()
+        for action in sp._actions
+        for flag in action.option_strings
+    }
+    named = set(re.findall(r"--[a-z][a-z-]*", GRAMMAR))
+    assert named
+    assert named <= accepted, named - accepted
+    assert "polyloj COMMAND --help" in GRAMMAR
 
 
 def test_internal_failure_exits_two(monkeypatch, capsys):

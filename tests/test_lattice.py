@@ -14,11 +14,14 @@ from polyloj import (
     affine_support_covectors,
     parse_polynomial,
     reduce_mapping,
-    simplex_lattice_points,
     unimodular_complete,
     verify_reduction,
 )
-from polyloj.lattice import primitive
+from polyloj.lattice import (
+    MAX_PARALLELEPIPED_POINTS,
+    _parallelepiped_points,
+    primitive,
+)
 from polyloj.linalg import dot
 
 
@@ -56,10 +59,59 @@ def test_completion_pinned():
     assert util.oracle_det([list(r) for r in basis.rows]) == -1
     # The simplex conv{0, (1,1), (1,0)} holds no lattice point beyond its
     # own three corners and the origin.
-    pts = simplex_lattice_points(basis.rows)
-    assert set(pts) == {(0, 0), (1, 1), (1, 0)}
+    pts = {
+        z
+        for z in itertools.product(range(-1, 3), repeat=2)
+        if util.in_simplex_with_zero(list(z), basis.rows)
+    }
+    assert pts == {(0, 0), (1, 1), (1, 0)}
     # A scalar multiple of the covector primitivizes to the same basis.
     assert unimodular_complete([(2, 2)], [(1, 0), (0, 1)]).rows == basis.rows
+
+
+def test_parallelepiped_points_match_box_scan():
+    rnd = util.make_rng(504)
+    signs = set()
+    checked = 0
+    while checked < 200:
+        n = rnd.randint(1, 4)
+        m = rnd.randint(1, n)
+        bound = 3 if n < 4 else 1
+        ws = [tuple(rnd.randint(-bound, bound) for _ in range(n)) for _ in range(m)]
+        if util.oracle_rank(ws) != m:
+            continue
+        # Negating one vector reverses the orientation of the box.
+        flipped = [tuple(-v for v in ws[0])] + ws[1:]
+        for family in (ws, flipped):
+            expected = util.oracle_parallelepiped_points(family)
+            assert sorted(_parallelepiped_points(family)) == expected, family
+            if m == n:
+                signs.add(util.oracle_det([list(w) for w in family]) > 0)
+        checked += 1
+    assert signs == {True, False}
+
+
+def test_parallelepiped_points_pinned():
+    # A square box holds |det| points: here |det| = 5.
+    pts = sorted(_parallelepiped_points([(1, 2), (2, -1)]))
+    assert pts == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+    # A segment in 3-space: its two ends are 3 lattice steps apart.
+    assert sorted(_parallelepiped_points([(0, 3, -3)])) == [
+        (0, 0, 0),
+        (0, 1, -1),
+        (0, 2, -2),
+    ]
+    with pytest.raises(ValueError, match="dependent"):
+        _parallelepiped_points([(1, 2, 0), (2, 4, 0)])
+
+
+def test_parallelepiped_points_budget():
+    # Refused from the echelon form alone, before a single point is listed.
+    count = MAX_PARALLELEPIPED_POINTS + 1
+    with pytest.raises(ValueError, match=f"{count} lattice points"):
+        _parallelepiped_points([(1, 0), (0, count)])
+    with pytest.raises(ValueError, match="lattice points"):
+        unimodular_complete([(1, 0, 0), (0, 10**6, 0)], [(0, 0, 0)])
 
 
 def test_completion_empty_covector_list_is_identity():

@@ -1,11 +1,12 @@
 """Shared helpers for the test suite.
 
 Everything in here is deliberately independent of the package internals:
-the determinant, rank, and simplex-membership routines are small fresh
-implementations used as oracles against the library, and the random
-generators only touch the public constructors.
+the determinant, rank, simplex-membership and parallelepiped routines are
+small fresh implementations used as oracles against the library, and the
+random generators only touch the public constructors.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -117,6 +118,25 @@ def in_simplex_with_zero(point, rows):
     if lam is None:
         return False
     return all(v >= 0 for v in lam) and sum(lam) <= 1
+
+
+def oracle_parallelepiped_points(ws):
+    """Lattice points of the half-open box {sum t_l w_l : 0 <= t_l < 1}, ws
+    linearly independent, by a bounding-box scan: solve the normal equations
+    for t at every integer point and keep those in the span of ws with
+    every t_l in [0, 1)."""
+    n = len(ws[0])
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in ws] for u in ws]
+    lo = [sum(min(0, w[j]) for w in ws) for j in range(n)]
+    hi = [sum(max(0, w[j]) for w in ws) for j in range(n)]
+    out = []
+    for z in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        t = oracle_solve(gram, [sum(a * b for a, b in zip(w, z)) for w in ws])
+        if not all(0 <= v < 1 for v in t):
+            continue
+        if all(sum(v * w[j] for v, w in zip(t, ws)) == z[j] for j in range(n)):
+            out.append(z)
+    return sorted(out)
 
 
 def brute_min_and_argmin(q, support):
