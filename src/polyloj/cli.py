@@ -33,10 +33,10 @@ from .lojasiewicz import (
     verify_inequality,
 )
 from .nondegeneracy import (
+    LOG_COORD_BOUND,
     MINOR_TOL,
-    REL_MINOR_TOL,
-    REL_RESIDUAL_TOL,
     RESIDUAL_TOL,
+    SMALL_COORD_FACTOR,
     nondegenerate_at_infinity,
 )
 from .polyhedra import all_faces, is_convenient, missing_axes, newton_polyhedron
@@ -120,16 +120,10 @@ def _named_inputs(F: PolynomialMapping) -> list[tuple[str, str]]:
 
 
 def _config(args, **overrides) -> RunConfig:
-    values = {
-        "seed": getattr(args, "seed", 0),
-        "budget": getattr(args, "budget", 48),
-        "trials": getattr(args, "trials", 100),
-        "epsilon": getattr(args, "epsilon", 1e-6),
-        "mode": getattr(args, "mode", "auto"),
-        "samples": getattr(args, "samples", 100000),
-    }
-    values.update(overrides)
-    return RunConfig(**values)
+    """The settings the command's own flags set, as parsed."""
+    names = ("seed", "budget", "trials", "mode", "samples")
+    values = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    return RunConfig(**values, **overrides)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -172,10 +166,10 @@ def cmd_check_nondegenerate(args):
         F, mode=mode, attempts=args.budget, seed=args.seed, enum_mode=enum_mode
     )
     tolerances = (
+        ("LOG_COORD_BOUND", LOG_COORD_BOUND),
         ("MINOR_TOL", MINOR_TOL),
-        ("REL_MINOR_TOL", REL_MINOR_TOL),
-        ("REL_RESIDUAL_TOL", REL_RESIDUAL_TOL),
         ("RESIDUAL_TOL", RESIDUAL_TOL),
+        ("SMALL_COORD_FACTOR", SMALL_COORD_FACTOR),
     )
     return (
         "check-nondegenerate",

@@ -45,18 +45,17 @@ from .univariate import (
     refine_root,
 )
 
+# The one witness rule, check_witness, against S_i, the largest term
+# magnitude of f_i at the point: residuals up to RESIDUAL_TOL * S_i, minors
+# up to MINOR_TOL times the product of max(deg f_i, 1) * S_i, and no zero
+# on the orthant boundary (coordinates below SMALL_COORD_FACTOR * (1 +
+# max |x_j|) set to 0) that explains an inexact candidate.  The search only
+# checks end points away from the exp(+-20) parametrization bounds.
 RESIDUAL_TOL = 1e-10
 MINOR_TOL = 1e-8
-SEARCH_MAX_EVALS = 200
-# Float witnesses additionally need residuals at noise level relative to the
-# largest term magnitude (a converged Newton zero sits many orders below it;
-# a point where every monomial merely shrank does not), minors at noise
-# level relative to the product of row scales, and coordinates away from the
-# exp(+-20) parametrization bounds.
-REL_RESIDUAL_TOL = 1e-8
-REL_MINOR_TOL = 1e-6
-LOG_COORD_BOUND = 19.5
 SMALL_COORD_FACTOR = 0.01
+LOG_COORD_BOUND = 19.5
+SEARCH_MAX_EVALS = 200
 
 
 # -- face systems ------------------------------------------------------------
@@ -130,14 +129,6 @@ def _rational_point(x: Sequence) -> list[Fraction]:
         raise ValueError("coordinates must be finite") from None
 
 
-def _row_scale(norm: float, degree: int) -> float:
-    """1 + norm^degree, inf when it is too large for a float."""
-    try:
-        return 1.0 + norm**degree
-    except OverflowError:
-        return math.inf
-
-
 def face_rank_matrix(system: FaceSystem, x: Sequence, form: str = "plain"):
     """The p x n weighted Jacobian (x_j df_i/dx_j)(x); form='augmented'
     appends the p x p diagonal block diag(f_i(x)) giving p x (n+p).
@@ -172,14 +163,59 @@ def _minors(system: FaceSystem, x: Sequence[Fraction]) -> list[Fraction]:
     ]
 
 
-def check_witness(system: FaceSystem, x: Sequence) -> tuple[bool, dict]:
-    """Independent exact re-check of a degeneracy witness.
+def _terms_at(terms, point: Sequence[Fraction]) -> list[Fraction]:
+    """The values c_t x^kappa_t of terms (kappa_t, c_t) at the rational
+    point x."""
+    return [c * math.prod(v**k for v, k in zip(point, kappa) if k) for kappa, c in terms]
 
-    A float coordinate is taken as the rational it is, so every point is
-    checked in exact arithmetic.  With s_i = 1 + ||x||^deg_i, accepts iff
-    every |f_i(x)| < RESIDUAL_TOL * s_i and every p x p minor of the
-    weighted Jacobian is below MINOR_TOL * s_1 ... s_p in magnitude, the
-    scale of a product of p rows.  A zero or non-finite coordinate fails.
+
+def _near_zero(terms: Sequence[Fraction]) -> bool:
+    """The residual test: |sum of the terms| <= RESIDUAL_TOL times the
+    largest |term|, exactly."""
+    return abs(sum(terms)) <= Fraction(RESIDUAL_TOL) * max(map(abs, terms), default=0)
+
+
+def _boundary_explains(system: FaceSystem, point: Sequence[Fraction]) -> bool:
+    """True when the point approximates a zero on the orthant boundary,
+    which is outside (R*)^n, not a witness: setting its small coordinates
+    to 0 leaves each face polynomial, its monomial factor taken out,
+    passing the residual test.  A coordinate is small below
+    SMALL_COORD_FACTOR * (1 + max |x_j|), unless the face polynomials hold
+    it only in their monomial factors, where its size changes no ratio."""
+    bound = Fraction(SMALL_COORD_FACTOR) * (1 + max(map(abs, point)))
+    cols = [list(zip(*(kappa for kappa, _ in fp.terms))) for fp in system.face_polys]
+    small = [
+        abs(v) < bound and any(len(set(c[j])) > 1 for c in cols)
+        for j, v in enumerate(point)
+    ]
+    if not any(small):
+        return False
+    kept = [1 if s else v for v, s in zip(point, small)]
+    for fp, c in zip(system.face_polys, cols):
+        low = [min(col) for col in c]
+        # Of f / x^low, the terms free of every small coordinate survive.
+        survivors = [
+            (kappa, c)
+            for kappa, c in fp.terms
+            if all(k == lo for k, lo, s in zip(kappa, low, small) if s)
+        ]
+        if not _near_zero(_terms_at(survivors, kept)):
+            return False
+    return True
+
+
+def check_witness(system: FaceSystem, x: Sequence) -> tuple[bool, dict]:
+    """The one witness rule, decided in exact arithmetic.
+
+    A float coordinate is taken as the rational it is.  With S_i the
+    largest |c_t x^kappa_t| of f_i at x, x is accepted iff every |f_i(x)|
+    <= RESIDUAL_TOL * S_i, every p x p minor of the weighted Jacobian is at
+    most MINOR_TOL times the product of the max(deg f_i, 1) * S_i, and,
+    unless every residual and minor is exactly 0, no zero on the orthant
+    boundary explains x (_boundary_explains).  Both bounds scale with the
+    coefficients, so multiplying any f_i by a constant changes nothing.  A
+    zero or non-finite coordinate fails.  info["exact"] is true for an
+    exact zero: every residual and minor is 0.
     """
     if any(v == 0 for v in x):
         return False, {"reason": "zero coordinate"}
@@ -187,17 +223,24 @@ def check_witness(system: FaceSystem, x: Sequence) -> tuple[bool, dict]:
         point = _rational_point(x)
     except ValueError:
         return False, {"reason": "non-finite coordinate"}
-    norm = math.sqrt(sum(v * v for v in map(float, point)))
-    scales = [_row_scale(norm, fp.total_degree()) for fp in system.face_polys]
-    f_values = [fp.evaluate_exact(point) for fp in system.face_polys]
+    terms = [_terms_at(fp.terms, point) for fp in system.face_polys]
+    if not all(_near_zero(t) for t in terms):
+        return False, {"reason": "residual above tolerance"}
     minors = [abs(m) for m in _minors(system, point)]
-    ok = all(abs(v) < RESIDUAL_TOL * s for v, s in zip(f_values, scales))
-    ok = ok and all(m < MINOR_TOL * math.prod(scales) for m in minors)
-    return ok, {
+    bound = Fraction(MINOR_TOL) * math.prod(
+        max(fp.total_degree(), 1) * max(map(abs, t))
+        for fp, t in zip(system.face_polys, terms)
+    )
+    if any(m > bound for m in minors):
+        return False, {"reason": "minor above tolerance"}
+    f_values = [sum(t) for t in terms]
+    exact = not any(f_values) and not any(minors)
+    if not exact and _boundary_explains(system, point):
+        return False, {"reason": "a zero on the orthant boundary explains it"}
+    return True, {
         "f_residuals": [abs(float(v)) for v in f_values],
         "minor_max": float(max(minors, default=0)),
-        "norm": norm,
-        "exact": True,
+        "exact": exact,
     }
 
 
@@ -426,15 +469,15 @@ class _FaceKernel(MonomialForm):
     needs: sheet signs, the log-coordinate memo, the p x p minors as one
     batched determinant and the residual's derivative.  In log coordinates
     x = sigma exp(s), the weighted Jacobian J is the derivative of the face
-    values in s, and dJ_ij/ds_k = sum_t E_tj E_tk m_t.
+    values in s, and dJ_ij/ds_k = sum_t E_tj E_tk m_t.  The kernel only
+    steers the solver: whether an end point is a witness is for
+    check_witness to decide, in exact arithmetic.
     """
 
     def __init__(self, system: FaceSystem):
         polys = system.face_polys
         super().__init__(polys)
         self.combos = np.array(list(itertools.combinations(range(self.n), self.p)))
-        # A minor is scaled by the product of max(deg f_i, 1) * max_t |m_t|.
-        self.row_weights = np.array([max(fp.total_degree(), 1) for fp in polys])
         self._exps_outer = np.einsum("tj,tk->tjk", self._exps_f, self._exps_f).reshape(
             len(self.coeffs), -1
         )
@@ -482,34 +525,6 @@ class _FaceKernel(MonomialForm):
         return self.residual_jacobian(self.log_monomials(s, signed))
 
 
-def _boundary_explains(kernel: _FaceKernel, x: np.ndarray) -> bool:
-    """True when zeroing every near-axis coordinate of x still leaves all
-    face residuals at noise level: the candidate then approximates a zero
-    on the orthant boundary, which is outside (R*)^n, not a witness."""
-    mags = np.abs(x)
-    small = mags < SMALL_COORD_FACTOR * (1.0 + mags.max())
-    if not small.any():
-        return False
-    m = kernel.monomials(np.where(small, 0.0, x))
-    floor = np.maximum(kernel.scales(m), 1e-300)
-    return bool(np.all(np.abs(kernel.values(m)) <= REL_RESIDUAL_TOL * floor))
-
-
-def _float_candidate(kernel: _FaceKernel, x: np.ndarray) -> bool:
-    """The float acceptance filters: residuals small relative to the largest
-    term magnitude, minors small relative to the product of row scales,
-    and no zero on the orthant boundary that explains the candidate."""
-    with np.errstate(all="ignore"):
-        m = kernel.monomials(x)
-        mags = kernel.scales(m)
-        if np.any(mags == 0.0) or np.any(np.abs(kernel.values(m)) > REL_RESIDUAL_TOL * mags):
-            return False
-        minors = np.abs(kernel.minors(kernel.weighted_jacobian(m)))
-        if np.max(minors, initial=0.0) > REL_MINOR_TOL * np.prod(kernel.row_weights * mags):
-            return False
-        return not _boundary_explains(kernel, x)
-
-
 @dataclass
 class SearchStats:
     """What a witness search saw on starts that found no witness: the
@@ -532,18 +547,13 @@ def witness_search(
     residual stacks the face polynomials with every p x p minor of the
     weighted Jacobian.  The system is compiled once per call into a
     _FaceKernel, which gives the residual and its closed-form Jacobian in
-    s to least_squares.  Accepted witnesses pass check_witness, which
-    re-evaluates them in exact arithmetic; rational snapping is attempted
-    so clean witnesses come back exact.  When no witness is found the
-    result is None, and stats (if given) receives the best residual
-    reached and the number of failed solver calls.
-
-    A candidate whose infimum is approached only toward the coordinate
-    axes (or toward infinity) is not a zero of the system on (R*)^n even
-    when its absolute residual is tiny, so float candidates must also sit
-    away from the parametrization bounds, have residuals small relative
-    to the largest term magnitude, and not be explained by a zero on the
-    orthant boundary.
+    s to least_squares.  check_witness alone decides what is a witness:
+    the snaps of an end point to rationals of denominator 1, 12 and 10^6
+    are tried first and count only as exact witnesses, then the end point
+    itself, unless some |s_j| reached LOG_COORD_BOUND (the infimum then
+    lies at the axes or at infinity).  When no witness is found the result
+    is None, and stats (if given) receives the best residual reached and
+    the number of failed solver calls.
     """
     from scipy.optimize import least_squares
 
@@ -580,32 +590,22 @@ def witness_search(
         if stats.best_residual is None or end_residual < stats.best_residual:
             stats.best_residual = end_residual
         x = tuple(float(v) for v in sheet * np.exp(result.x))
-        for bound in (1, 12, 10**6):
-            xr = tuple(Fraction(v).limit_denominator(bound) for v in x)
-            if any(v == 0 for v in xr):
-                continue
-            if all(fp.evaluate_exact(xr) == 0 for fp in system.face_polys) and all(
-                m == 0 for m in _minors(system, xr)
-            ):
+        candidates = [tuple(Fraction(v).limit_denominator(b) for v in x) for b in (1, 12, 10**6)]
+        if all(abs(v) < LOG_COORD_BOUND for v in result.x):
+            candidates.append(x)
+        for point in candidates:
+            ok, info = check_witness(system, point)
+            if ok and (info["exact"] or point is x):
                 return Evidence(
                     kind="Witness",
-                    witness=tuple(float(v) for v in xr),
-                    witness_exact=tuple(str(v) for v in xr),
+                    witness=tuple(float(v) for v in point),
+                    witness_exact=tuple(str(Fraction(v)) for v in point)
+                    if info["exact"]
+                    else None,
+                    residual_norm=max(info["f_residuals"], default=0.0),
+                    minor_max=info["minor_max"],
                     trials=k + 1,
                 )
-        if any(abs(v) >= LOG_COORD_BOUND for v in result.x):
-            continue  # infimum at the axes or at infinity, not a zero
-        if not _float_candidate(kernel, np.array(x)):
-            continue
-        ok, info = check_witness(system, x)
-        if ok:
-            return Evidence(
-                kind="Witness",
-                witness=x,
-                residual_norm=max(info["f_residuals"], default=0.0),
-                minor_max=info["minor_max"],
-                trials=k + 1,
-            )
     return None
 
 
@@ -693,6 +693,8 @@ class NondegeneracyPlan:
         """Decide every face system of F, a mapping with the plan's supports."""
         if mode not in ("auto", "exact", "search"):
             raise ValueError(f"unknown mode {mode!r}")
+        if attempts < 1:
+            raise ValueError(f"attempts must be at least 1, got {attempts}")
         if mode == "exact" and F.num_vars != 2:
             raise ValueError("exact decisions are only available in two variables")
         entries = []

@@ -433,12 +433,6 @@ class MonomialForm:
         # (a finite sum that overflows just takes this slower path).
         return np.array([m[row > 0].sum(axis=0) for row in self.owner])
 
-    def scales(self, m: np.ndarray) -> np.ndarray:
-        """Per component, the largest |c_t x^E_t|: the natural scale
-        against which a residual counts as an actual zero."""
-        owner = self.owner.reshape(self.owner.shape + (1,) * (m.ndim - 1))
-        return np.max(owner * np.abs(m), axis=1)
-
     def weighted_jacobian(self, m: np.ndarray) -> np.ndarray:
         """(x_j df_i/dx_j), (p, n) or (p, n, m); with x = sigma exp(s) it is
         also d(values)/ds, since dm_t/ds_k = E_tk m_t."""

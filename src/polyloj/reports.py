@@ -1,7 +1,7 @@
 """Deterministic JSON report envelopes for the command-line tools.
 
 Every command emits a single JSON document: tool identity and version, the
-command name, a schema tag, the full run configuration, sha256 hashes of
+command name, a schema tag, the settings the run was given, sha256 hashes of
 the inputs, and the result.  Reports carry no timestamps or environment
 data, so identical configurations give byte-identical output.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 TOOL_NAME = "polyloj"
@@ -19,29 +19,22 @@ VERSION = "0.1.0"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that can influence a run, serialized into its report."""
+    """The settings a run was given, serialized into its report: the seed
+    and whichever of the others the command set (None is left out)."""
 
     seed: int = 0
-    budget: int = 48
-    trials: int = 100
-    attempts: int = 2000
-    epsilon: float = 1e-6
-    mode: str = "auto"
-    samples: int = 100000
-    tolerances: tuple[tuple[str, float], ...] = field(default=())
-    out: Optional[str] = None
+    budget: Optional[int] = None
+    trials: Optional[int] = None
+    attempts: Optional[int] = None
+    mode: Optional[str] = None
+    samples: Optional[int] = None
+    tolerances: Optional[tuple[tuple[str, float], ...]] = None
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "budget": self.budget,
-            "trials": self.trials,
-            "attempts": self.attempts,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "samples": self.samples,
-            "tolerances": {k: v for k, v in self.tolerances},
-        }
+        data = {k: v for k, v in vars(self).items() if v is not None}
+        if self.tolerances is not None:
+            data["tolerances"] = dict(self.tolerances)
+        return data
 
 
 def input_hash(text: str) -> str:

@@ -91,12 +91,19 @@ def test_check_nondegenerate_records_what_it_ran(capsys):
          "--budget", "7"],
         capsys,
     )
-    assert report["config"]["attempts"] == 7
-    assert report["config"]["tolerances"] == {
-        "MINOR_TOL": 1e-8,
-        "REL_MINOR_TOL": 1e-6,
-        "REL_RESIDUAL_TOL": 1e-8,
-        "RESIDUAL_TOL": 1e-10,
+    # Only the settings the command has, and the constants the witness
+    # rule and the search read.
+    assert report["config"] == {
+        "attempts": 7,
+        "budget": 7,
+        "mode": "auto",
+        "seed": 0,
+        "tolerances": {
+            "LOG_COORD_BOUND": 19.5,
+            "MINOR_TOL": 1e-8,
+            "RESIDUAL_TOL": 1e-10,
+            "SMALL_COORD_FACTOR": 0.01,
+        },
     }
     trials = {
         e["evidence"]["trials"]
@@ -104,6 +111,28 @@ def test_check_nondegenerate_records_what_it_ran(capsys):
         if e["evidence"]["kind"] == "SearchExhausted"
     }
     assert trials <= {7}
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["polyhedron", "--text", G32, "--n", "2"], {"seed": 0}),
+        (
+            ["verify-inequality", "--text", G32, "--text", H32, "--n", "2",
+             "--alpha", "0.5", "--beta", "1.0", "--c", "1.0", "--samples", "50"],
+            {"seed": 0, "samples": 50},
+        ),
+        (
+            ["genericity", "--supports", "[[[2,0],[0,4]],[[2,0],[0,2]]]",
+             "--trials", "2", "--seed", "5"],
+            {"seed": 5, "trials": 2, "budget": 2000},
+        ),
+    ],
+)
+def test_config_holds_only_the_command_settings(argv, config, capsys):
+    report = run_report(argv, capsys)
+    assert report["config"] == config
+    jsonschema.validate(report, load_schema("report.v1.schema.json"))
 
 
 def test_check_nondegenerate_degenerate_witness(capsys):
@@ -121,6 +150,15 @@ def test_check_nondegenerate_degenerate_witness(capsys):
         # |x| ~ 1414) fits only a bound scaled like the residuals.
         "(x1^2 - 6*x1*x2 - 1/7*x2^2)^2*x2^2 + 1",
         "(x2^2 - 2000000*x1^2)^2 + 1",
+        # Face coefficients near 3.6e13: the witness's minor, about 1.7e-3,
+        # is noise only relative to the size of its terms.
+        "x1*x2*(6000000*x2^2 - 2000003)^2 + 1",
+        # The witness (1, -0.0141...) lies near the axis x2 = 0, where every
+        # term of the face vanishes with its monomial factor x1*x2.
+        "x1*x2*(x2^2 - 2/10000*x1^2)^2 + 1",
+        # The witness (-1414.2..., 1) has x2 far below max |x_j|, but the face
+        # holds x2 only in its monomial factor, so x2 is not near an axis.
+        "x1^2*x2*(x1^2 - 2000000)^2 + 1",
     ],
 )
 def test_check_nondegenerate_float_witness_rechecks(text, capsys):

@@ -137,6 +137,64 @@ def test_check_witness_is_exact_for_float_points():
     assert check_witness(far, (1.0, -32 / 3))[0]
 
 
+def test_check_witness_rejects_near_axis_points():
+    # (x1 - x2)^2 + x3^2 has no zero on (R*)^3.  Where every term is tiny,
+    # the residual is small only in absolute terms; at (1, 1, 1e-6) it is
+    # small relative to the terms too, but setting x3 to 0 leaves an exact
+    # zero on the boundary, which explains it.
+    system = system_for(["(x1 - x2)^2 + x3^2"], 3, (-1, -1, -1))
+    assert check_witness(system, (1e-6, 1e-6, 1e-6)) == (
+        False,
+        {"reason": "residual above tolerance"},
+    )
+    assert check_witness(system, (1.0, 1.0, 1e-6)) == (
+        False,
+        {"reason": "a zero on the orthant boundary explains it"},
+    )
+    # The same with the monomial factor x3, which vanishes with x3 itself:
+    # the boundary test looks at the face with that factor taken out.
+    factored = system_for(["x3*((x1 - x2)^2 + x3^2)"], 3, (-1, -1, -1))
+    assert check_witness(factored, (1.0, 1.0, 1e-5))[0] is False
+
+
+@pytest.mark.parametrize("scale", [Fraction(10**13), Fraction(1, 10**13)])
+def test_check_witness_is_scale_free(scale):
+    # Multiplying the coefficients by a constant changes neither the
+    # accepted witnesses nor the rejected points.
+    cases = [
+        (["(x1^2 - 2*x2^2)^2"], (-1, -1), [(1.0, -0.7071067811865476), (1.0, -0.7)], [True, False]),
+        (
+            ["x1*x2*(6000000*x2^2 - 2000003)^2"],
+            (-1, 0),
+            [(1.0, -0.5773507022021652), (1.0, -0.5773)],
+            [True, False],
+        ),
+        (["(x1 - x2)^2 + x3^2"], (-1, -1, -1), [(1e-6, 1e-6, 1e-6)], [False]),
+        (
+            ["(x1 - x2)^2", "x1^2 - x2^2 + x3^2"],
+            (-1, -1, -1),
+            [(1.0, 1.0, 1e-6), (Fraction(2), Fraction(2), Fraction(1))],
+            [False, False],
+        ),
+        (["(x1 - x2)^2", "x1^3 - x1*x2^2"], (-1, -1), [(Fraction(3), Fraction(3))], [True]),
+    ]
+    for texts, q, points, expected in cases:
+        polys = [parse_polynomial(t, len(q)) for t in texts]
+        system = system_of(polys, q)
+        scaled = system_of([f * scale for f in polys], q)
+        for x, want in zip(points, expected):
+            assert check_witness(system, x)[0] is want, (texts, x)
+            assert check_witness(scaled, x)[0] is want, (texts, x)
+
+
+def test_check_witness_flags_exact_zeros():
+    system = system_for(["(x1 - x2)^2*(x1 + x3)"], 3, (-1, -1, -1))
+    ok, info = check_witness(system, (Fraction(1, 3), Fraction(1, 3), Fraction(5)))
+    assert ok and info["exact"]
+    ok, info = check_witness(system, (1 / 3, 1 / 3 + 1e-12, 5.0))
+    assert ok and not info["exact"]
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_check_witness_refuses_non_finite_points(bad):
     system = system_for(["(x1 - x2)^2"], 2, (-1, -1))
@@ -245,6 +303,17 @@ def test_witness_search_finds_embedded_degeneracy():
     assert evidence is not None
     ok, _ = check_witness(sys_n, evidence.witness)
     assert ok
+
+
+def test_witness_search_reports_snapped_witnesses_exactly():
+    # The end points snap to rational zeros, which come back exact.
+    system = system_for(["(x1 - x2)^2"], 3, (-1, -1, 0))
+    evidence = witness_search(system, attempts=20, seed=0)
+    assert evidence is not None and evidence.witness_exact is not None
+    x = tuple(Fraction(v) for v in evidence.witness_exact)
+    assert evidence.witness == tuple(float(v) for v in x)
+    ok, info = check_witness(system, x)
+    assert ok and info["exact"]
 
 
 def random_form(rnd, n, degree, terms):
@@ -530,6 +599,17 @@ def test_more_components_than_variables_rejected():
     )
     with pytest.raises(ValueError, match="more components"):
         nondegenerate_at_infinity(F)
+
+
+def test_decide_needs_at_least_one_attempt():
+    F = PolynomialMapping((parse_polynomial("x1^2 + x2^2 + x3^2 - x1*x2*x3", 3),))
+    for attempts in (0, -3):
+        with pytest.raises(ValueError, match="attempts"):
+            nondegenerate_at_infinity(F, attempts=attempts)
+    schema = json.loads((ROOT / "schemas" / "nondegeneracy.v1.schema.json").read_text())
+    evidence = schema["properties"]["tuples"]["items"]["properties"]["evidence"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({"kind": "SearchExhausted", "trials": 0}, evidence)
 
 
 def test_exact_mode_needs_two_variables():
