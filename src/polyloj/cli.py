@@ -25,6 +25,11 @@ from .lattice import (
     verify_reduction,
 )
 from .lojasiewicz import (
+    GRID_POINTS,
+    LARGE_GRID,
+    LEVEL_REL_TOL,
+    RATIO_TOL,
+    SMALL_GRID,
     FitError,
     fit_exponents,
     hunt_sequences,
@@ -121,7 +126,7 @@ def _named_inputs(F: PolynomialMapping) -> list[tuple[str, str]]:
 
 def _config(args, **overrides) -> RunConfig:
     """The settings the command's own flags set, as parsed."""
-    names = ("seed", "budget", "trials", "mode", "samples")
+    names = ("seed", "budget", "trials", "mode", "samples", "halfwidth")
     values = {name: getattr(args, name) for name in names if hasattr(args, name)}
     return RunConfig(**values, **overrides)
 
@@ -213,7 +218,20 @@ def cmd_complete_basis(args):
 def cmd_fit_exponents(args):
     F = _load_mapping(args, expect=2)
     fit = fit_exponents(F[0], F[1], budget=args.budget, seed=args.seed)
-    return "fit-exponents", _config(args), _named_inputs(F), fit.to_json()
+    tolerances = (
+        ("GRID_POINTS", GRID_POINTS),
+        ("LARGE_GRID_HIGH", LARGE_GRID[1]),
+        ("LARGE_GRID_LOW", LARGE_GRID[0]),
+        ("LEVEL_REL_TOL", LEVEL_REL_TOL),
+        ("SMALL_GRID_HIGH", SMALL_GRID[1]),
+        ("SMALL_GRID_LOW", SMALL_GRID[0]),
+    )
+    return (
+        "fit-exponents",
+        _config(args, tolerances=tolerances),
+        _named_inputs(F),
+        fit.to_json(),
+    )
 
 
 def cmd_verify_inequality(args):
@@ -228,9 +246,10 @@ def cmd_verify_inequality(args):
         box_halfwidth=args.halfwidth,
         seed=args.seed,
     )
+    tolerances = (("LEVEL_REL_TOL", LEVEL_REL_TOL), ("RATIO_TOL", RATIO_TOL))
     return (
         "verify-inequality",
-        _config(args),
+        _config(args, tolerances=tolerances),
         _named_inputs(F),
         report.to_json(),
     )

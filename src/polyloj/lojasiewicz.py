@@ -8,6 +8,14 @@ which g stays put while |h| blows up.  Also here: sphere probes for
 gradient decay at infinity and the even multiplier N with h^N = g * f0
 for a continuous factor f0.
 
+mu has one path, mu_estimate_levels: every level of a call shares one
+form and one set of rays, the level crossings of all levels and rays are
+bracketed on one log grid and bisected together, and only the ascent
+along each level set runs crossing by crossing.  The curve hunt decides
+its conditions on exact Laurent coefficients and drops a candidate at
+once when a blocking coefficient cannot vanish on (R*)^n
+(polynomials.sign_uniform_on_all_sheets), before any grid or solver.
+
 Estimates are one-sided: mu is approximated from below (it may be +inf),
 so fitted exponents are labelled fitted, never optimal.
 
@@ -29,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .polyhedra import enumerate_negative_face_tuples, newton_polyhedron
-from .polynomials import MonomialForm, Polynomial
+from .polynomials import MonomialForm, Polynomial, sign_uniform_on_all_sheets
 
 RATIO_TOL = 1e-9
 LEVEL_REL_TOL = 1e-12
@@ -101,36 +109,48 @@ def _with_gradients(*polys: Polynomial) -> MonomialForm:
     return MonomialForm([q for f in polys for q in (f, *f.gradient())])
 
 
-def _level_crossings(form: MonomialForm, u: np.ndarray, t: float) -> list[float]:
-    """Radii r with |g(r u)| = t, g the form's first component: sign changes
-    on a log grid, then the first four brackets bisected together to
-    relative tolerance LEVEL_REL_TOL."""
+def _level_crossings(
+    form: MonomialForm, rays: np.ndarray, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radii r with |g(r u)| = t, g the form's first component, for every
+    level t and ray u at once: flat arrays of level index, ray index and
+    radius, sorted by level, then ray, then radius.  Per level and ray the
+    brackets are the exact zeros and the first four sign changes on a log
+    grid; the brackets of every level and ray are then bisected together,
+    one evaluation per round, to relative tolerance LEVEL_REL_TOL.
+    """
     rs = np.geomspace(1e-8, 1e8, 161)
-    vals = np.abs(form.evaluate(rs[:, None] * u[None, :])[0]) - t
-    brackets = []  # [lo, hi, whether |g(lo u)| > t, still open]
-    for k in range(len(rs) - 1):
-        a, b = vals[k], vals[k + 1]
-        if a == 0 and np.isfinite(b):
-            brackets.append([float(rs[k]), float(rs[k]), False, False])
-        elif np.isfinite(a) and a * b < 0:  # b may be inf: bisect on the finite side
-            brackets.append([float(rs[k]), float(rs[k + 1]), a > 0, True])
-            if len(brackets) >= 4:
-                break
+    grid = (rs[None, :, None] * rays[:, None, :]).reshape(-1, rays.shape[1])
+    g_abs = np.abs(form.evaluate(grid)[0]).reshape(len(rays), len(rs))
+    # Per level: ray, grid index, is a sign change, |g(lo u)| > t.  One
+    # level at a time keeps every array at (rays x grid) size.
+    found = []
+    for t in ts:
+        vals = g_abs - t
+        a, b = vals[:, :-1], vals[:, 1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            zero = (a == 0) & np.isfinite(b)
+            # b may be inf: bisect on the finite side.
+            change = np.isfinite(a) & (a * b < 0)
+        seen = np.cumsum(change, axis=1)
+        ray, k = np.nonzero((change & (seen <= 4)) | (zero & (seen < 4)))
+        found.append((ray, k, change[ray, k], a[ray, k] > 0))
+    level = np.repeat(np.arange(len(ts)), [len(f[0]) for f in found])
+    ray, k, live, above = (np.concatenate(col) for col in zip(*found))
+    lo = rs[k]
+    hi = np.where(live, rs[k + 1], lo)
     for _ in range(80):
-        live = [br for br in brackets if br[3]]
-        if not live:
+        idx = np.nonzero(live)[0]
+        if not idx.size:
             break
-        mids = [math.sqrt(br[0] * br[1]) for br in live]
-        fms = np.abs(form.evaluate(np.multiply.outer(mids, u))[0]) - t
-        for br, mid, fm in zip(live, mids, fms):
-            if fm == 0:
-                br[0] = br[1] = mid
-            elif (fm > 0) == br[2]:
-                br[0] = mid
-            else:
-                br[1] = mid
-            br[3] = br[1] - br[0] > LEVEL_REL_TOL * br[0]
-    return [math.sqrt(lo * hi) for lo, hi, _, _ in brackets]
+        mid = np.sqrt(lo[idx] * hi[idx])
+        fm = np.abs(form.evaluate(mid[:, None] * rays[ray[idx]])[0]) - ts[level[idx]]
+        exact = fm == 0
+        up = exact | ((fm > 0) == above[idx])
+        lo[idx] = np.where(up, mid, lo[idx])
+        hi[idx] = np.where(exact | ~up, mid, hi[idx])
+        live[idx] = hi[idx] - lo[idx] > LEVEL_REL_TOL * lo[idx]
+    return level, ray, np.sqrt(lo * hi)
 
 
 def _project_to_level(
@@ -192,51 +212,78 @@ def _ascend_on_level(
     return best, x
 
 
+def mu_estimate_levels(
+    g: Polynomial,
+    h: Polynomial,
+    ts: Sequence[float],
+    budget: int = 48,
+    seed: int = 0,
+) -> tuple[MuDetail, ...]:
+    """Lower-bound estimates of sup{|h| : |g| = t}, with full diagnostics,
+    for every level t in ts along the same budget rays.
+
+    The form and the rays are built once, the crossings of every level
+    and ray are found together, and each crossing is ascended in (level,
+    ray, crossing) order.  Ray i depends only on (seed, i), and each
+    level's estimate is its running max, so raising the budget never
+    lowers a result.  A level's growth flag trips when its best value
+    still improved noticeably in the last quarter of the schedule: the
+    supremum may be infinite.
+    """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if any(t <= 0 for t in ts):
+        raise ValueError("level t must be positive")
+    if not len(ts):
+        return ()
+    n = g.num_vars
+    form = _with_gradients(g, h)
+    rays = np.array([_ray_for_task(i, n, seed) for i in range(budget)])
+    level, ray, radii = _level_crossings(form, rays, np.array(ts, dtype=float))
+    # The crossings of level j on ray i, for task j * budget + i.
+    counts = np.bincount(level * budget + ray, minlength=len(ts) * budget)
+    per_task = np.split(radii, np.cumsum(counts)[:-1])
+    details = []
+    for j, t in enumerate(ts):
+        best = math.nan
+        best_point = None
+        crossings = 0
+        best_per_task = []
+        for i in range(budget):
+            for r in per_task[j * budget + i]:
+                crossings += 1
+                val, x_at = _ascend_on_level(form, r * rays[i])
+                if math.isnan(best) or val > best:
+                    best = val
+                    best_point = tuple(float(v) for v in x_at)
+            best_per_task.append(best)
+        growth = False
+        if budget >= 8 and not math.isnan(best) and best > 0:
+            anchor = best_per_task[(3 * budget) // 4 - 1]
+            if not math.isnan(anchor) and anchor > 0:
+                growth = best > 1.05 * anchor
+            else:
+                growth = True
+        details.append(
+            MuDetail(
+                t=t,
+                budget=budget,
+                seed=seed,
+                value=best,
+                crossings=crossings,
+                best_point=best_point,
+                best_per_task=tuple(best_per_task),
+                growth_flag=growth,
+            )
+        )
+    return tuple(details)
+
+
 def mu_estimate_detail(
     g: Polynomial, h: Polynomial, t: float, budget: int = 48, seed: int = 0
 ) -> MuDetail:
-    """Lower-bound estimate of sup{|h| : |g| = t} with full diagnostics.
-
-    Task i depends only on (seed, i), and the estimate is the running max,
-    so raising the budget never lowers the result.  The growth flag trips
-    when the best value still improved noticeably in the last quarter of
-    the schedule: the supremum may be infinite.
-    """
-    if t <= 0:
-        raise ValueError("level t must be positive")
-    n = g.num_vars
-    form = _with_gradients(g, h)
-    best = math.nan
-    best_point = None
-    crossings = 0
-    best_per_task = []
-    for i in range(budget):
-        u = _ray_for_task(i, n, seed)
-        for r in _level_crossings(form, u, t):
-            crossings += 1
-            x0 = r * u
-            val, x_at = _ascend_on_level(form, x0)
-            if math.isnan(best) or val > best:
-                best = val
-                best_point = tuple(float(v) for v in x_at)
-        best_per_task.append(best)
-    growth = False
-    if budget >= 8 and not math.isnan(best) and best > 0:
-        anchor = best_per_task[(3 * budget) // 4 - 1]
-        if not math.isnan(anchor) and anchor > 0:
-            growth = best > 1.05 * anchor
-        else:
-            growth = True
-    return MuDetail(
-        t=t,
-        budget=budget,
-        seed=seed,
-        value=best,
-        crossings=crossings,
-        best_point=best_point,
-        best_per_task=tuple(best_per_task),
-        growth_flag=growth,
-    )
+    """mu_estimate_levels on the one level t."""
+    return mu_estimate_levels(g, h, [t], budget=budget, seed=seed)[0]
 
 
 def mu_estimate(
@@ -363,14 +410,14 @@ def fit_exponents(
     ts_large = list(large_grid) if large_grid is not None else list(
         np.geomspace(*LARGE_GRID, GRID_POINTS)
     )
-    growth = False
+    details = mu_estimate_levels(
+        g, h, [float(t) for t in ts_small + ts_large], budget=budget, seed=seed
+    )
+    growth = any(d.growth_flag for d in details)
     grids: dict[str, list[tuple[float, float]]] = {"small": [], "large": []}
-    for name, ts in (("small", ts_small), ("large", ts_large)):
-        for t in ts:
-            detail = mu_estimate_detail(g, h, float(t), budget=budget, seed=seed)
-            growth = growth or detail.growth_flag
-            if math.isfinite(detail.value) and detail.value > 0:
-                grids[name].append((float(t), detail.value))
+    for k, d in enumerate(details):
+        if math.isfinite(d.value) and d.value > 0:
+            grids["small" if k < len(ts_small) else "large"].append((d.t, d.value))
     if len(grids["small"]) < 4 or len(grids["large"]) < 4:
         raise FitError("degenerate regression: fewer than 4 usable grid points")
     alpha, alpha_err, alpha_r2 = _loglog_fit(grids["small"])
@@ -441,13 +488,14 @@ def _ratio_arrays(g_vals, h_vals, alpha, beta, c):
 
 
 def _level_points(g: Polynomial, h: Polynomial, levels, budget: int, seed: int):
-    """The best points mu_estimate_detail finds on the given levels of |g|,
-    as a (k, n) array (levels it never reached are left out)."""
-    points = [
-        mu_estimate_detail(g, h, float(t), budget=budget, seed=seed).best_point
-        for t in levels
-    ]
-    return np.array([x for x in points if x is not None]).reshape(-1, g.num_vars)
+    """The best points mu_estimate_levels finds on the given levels of |g|,
+    as a (k, n) array (levels it never reached are left out); budget 0
+    takes no level samples."""
+    if budget == 0:
+        return np.empty((0, g.num_vars))
+    details = mu_estimate_levels(g, h, [float(t) for t in levels], budget, seed)
+    points = [d.best_point for d in details if d.best_point is not None]
+    return np.array(points).reshape(-1, g.num_vars)
 
 
 def verify_inequality(
@@ -463,10 +511,13 @@ def verify_inequality(
     seed: int = 0,
 ) -> InequalityReport:
     """Check |g|^alpha + |g|^beta >= c|h| on box samples, level-set samples
-    across both t grids, and any supplied escape curves.  Holds means the
-    worst ratio c|h| / (|g|^alpha + |g|^beta) stays within 1 + 1e-9."""
+    across both t grids (level_budget rays each; 0 takes none), and any
+    supplied escape curves.  Holds means the worst ratio
+    c|h| / (|g|^alpha + |g|^beta) stays within 1 + RATIO_TOL."""
     if not (alpha > 0 and beta > 0 and c > 0):
         raise ValueError("alpha, beta, c must all be positive")
+    if level_budget < 0:
+        raise ValueError("level_budget must be at least 0")
     n = g.num_vars
     pair = MonomialForm([g, h])
     box = _seeded([seed, 1]).uniform(-box_halfwidth, box_halfwidth, size=(box_count, n))
@@ -630,16 +681,20 @@ def _solve_coefficients(
 ) -> Optional[tuple[Fraction, ...]]:
     """Coefficient vector a making the curve conditions hold, exactly.
 
-    Small rational grid first (all-ones leading), then numeric root-finding
-    on the blocking Laurent coefficients with rational snap-back."""
+    None at once when a blocking Laurent coefficient cannot vanish on
+    (R*)^n; otherwise a small rational grid first (all-ones leading), then
+    numeric root-finding on the blocking coefficients with rational
+    snap-back."""
     from scipy.optimize import least_squares
 
     # The blocking equations: Laurent coefficients of g at negative
     # exponents (plus the constant one for first-type curves) as
-    # polynomials in a.
+    # polynomials in a.  Each must vanish exactly at a in (Q*)^n.
     equations = [
         group for m, group in g_groups if m < 0 or (kind == "FirstType" and m == 0)
     ]
+    if any(sign_uniform_on_all_sheets(eq) for eq in equations):
+        return None
     simple = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(1, 2), Fraction(-1, 2))
     for a in itertools.product(simple, repeat=n):
@@ -647,9 +702,6 @@ def _solve_coefficients(
             return a
 
     if not equations:
-        return None
-    # A single-term equation c * a^kappa can never vanish off the axes.
-    if any(len(p.terms) == 1 for p in equations):
         return None
     form = MonomialForm(equations)
     for attempt in range(10):

@@ -34,7 +34,13 @@ from .polyhedra import (
     enumerate_negative_face_tuples,
     newton_polyhedron,
 )
-from .polynomials import MonomialForm, Polynomial, PolynomialMapping, face_part
+from .polynomials import (
+    MonomialForm,
+    Polynomial,
+    PolynomialMapping,
+    face_part,
+    sign_uniform_on_all_sheets,
+)
 from .univariate import (
     count_real_roots,
     degree,
@@ -442,28 +448,6 @@ def exact_check_2d(system: FaceSystem) -> Evidence:
 # -- witness search -----------------------------------------------------------
 
 
-def _sign_uniform_on_all_sheets(fp: Polynomial) -> bool:
-    """True when the terms of fp share a sign on every open orthant, so fp
-    cannot vanish on (R*)^n.  Sound certificate; no false positives."""
-    n = fp.num_vars
-    terms = fp.terms
-    for sigma in itertools.product((1, -1), repeat=n):
-        first = None
-        for kappa, coeff in terms:
-            s = 1 if coeff > 0 else -1
-            for sj, kj in zip(sigma, kappa):
-                if sj < 0 and kj % 2 == 1:
-                    s = -s
-            if first is None:
-                first = s
-            elif s != first:
-                break
-        else:
-            continue
-        return False
-    return True
-
-
 class _FaceKernel(MonomialForm):
     """The face polynomials as one MonomialForm, plus what only the search
     needs: sheet signs, the log-coordinate memo, the p x p minors as one
@@ -620,7 +604,7 @@ def _decide_system(
             kind="EmptyZeroSet",
             reason="a monomial face polynomial never vanishes on (R*)^n",
         )
-    if any(_sign_uniform_on_all_sheets(fp) for fp in system.face_polys):
+    if any(sign_uniform_on_all_sheets(fp) for fp in system.face_polys):
         return Evidence(
             kind="EmptyZeroSet",
             reason="a face polynomial has one sign on every open orthant",

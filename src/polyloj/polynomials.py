@@ -24,6 +24,7 @@ Text grammar (variables are x1..xN, no implicit multiplication):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -664,6 +665,24 @@ def restrict_to_axes(f: Polynomial, axes: Iterable[int]) -> Polynomial:
     outside = [j for j in range(f.num_vars) if (j + 1) not in axis_set]
     kept = {e: c for e, c in f.terms if all(e[j] == 0 for j in outside)}
     return Polynomial.from_dict(f.num_vars, kept)
+
+
+def sign_uniform_on_all_sheets(f: Polynomial) -> bool:
+    """True when the terms of f share a sign on every open orthant, so f
+    cannot vanish on (R*)^n: the one exact never-vanishes test (sound, no
+    false positives; a monomial always passes)."""
+    for sigma in itertools.product((1, -1), repeat=f.num_vars):
+        first = None
+        for kappa, coeff in f.terms:
+            s = 1 if coeff > 0 else -1
+            for sj, kj in zip(sigma, kappa):
+                if sj < 0 and kj % 2 == 1:
+                    s = -s
+            if first is None:
+                first = s
+            elif s != first:
+                return False
+    return True
 
 
 def euler_residual(

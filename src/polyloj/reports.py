@@ -28,6 +28,7 @@ class RunConfig:
     attempts: Optional[int] = None
     mode: Optional[str] = None
     samples: Optional[int] = None
+    halfwidth: Optional[float] = None
     tolerances: Optional[tuple[tuple[str, float], ...]] = None
 
     def to_json(self) -> dict:

@@ -120,7 +120,12 @@ def test_check_nondegenerate_records_what_it_ran(capsys):
         (
             ["verify-inequality", "--text", G32, "--text", H32, "--n", "2",
              "--alpha", "0.5", "--beta", "1.0", "--c", "1.0", "--samples", "50"],
-            {"seed": 0, "samples": 50},
+            {
+                "seed": 0,
+                "samples": 50,
+                "halfwidth": 10.0,
+                "tolerances": {"LEVEL_REL_TOL": 1e-12, "RATIO_TOL": 1e-9},
+            },
         ),
         (
             ["genericity", "--supports", "[[[2,0],[0,4]],[[2,0],[0,2]]]",
@@ -132,6 +137,36 @@ def test_check_nondegenerate_records_what_it_ran(capsys):
 def test_config_holds_only_the_command_settings(argv, config, capsys):
     report = run_report(argv, capsys)
     assert report["config"] == config
+    jsonschema.validate(report, load_schema("report.v1.schema.json"))
+
+
+def test_verify_inequality_records_its_halfwidth(capsys):
+    argv = ["verify-inequality", "--text", G32, "--text", H32, "--n", "2",
+            "--alpha", "0.5", "--beta", "1.0", "--c", "1.0", "--samples", "50"]
+    configs = [
+        run_report(argv + ["--halfwidth", width], capsys)["config"]
+        for width in ("10", "2.5")
+    ]
+    assert [c["halfwidth"] for c in configs] == [10.0, 2.5]
+
+
+def test_fit_exponents_records_what_it_read(capsys):
+    report = run_report(
+        ["fit-exponents", "--text", G32, "--text", H32, "--n", "2", "--budget", "4"],
+        capsys,
+    )
+    assert report["config"] == {
+        "budget": 4,
+        "seed": 0,
+        "tolerances": {
+            "GRID_POINTS": 12,
+            "LARGE_GRID_HIGH": 1e6,
+            "LARGE_GRID_LOW": 1e2,
+            "LEVEL_REL_TOL": 1e-12,
+            "SMALL_GRID_HIGH": 1e-2,
+            "SMALL_GRID_LOW": 1e-6,
+        },
+    }
     jsonschema.validate(report, load_schema("report.v1.schema.json"))
 
 

@@ -5,8 +5,10 @@ and the even multiplier."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import util
 from polyloj import (
     FitError,
     fit_exponents,
@@ -14,6 +16,7 @@ from polyloj import (
     ktilde_probe,
     mu_estimate,
     mu_estimate_detail,
+    mu_estimate_levels,
     multiplier,
     parse_polynomial,
     verify_inequality,
@@ -72,6 +75,55 @@ def test_mu_reports_nan_when_level_unreached():
     # min g = 1, so the level |g| = 1/2 is never crossed on any ray.
     g = parse_polynomial("x1^2 + x2^2 + 1", 2)
     assert math.isnan(mu_estimate(g, H32, 0.5, budget=8))
+
+
+def random_pair(seed):
+    rnd = util.make_rng(seed)
+    return tuple(util.random_polynomial(rnd, 2, max_terms=4, max_exp=4) for _ in range(2))
+
+
+@pytest.mark.parametrize(
+    "pair", [(G31, H31), (G32, H32), random_pair(1601)], ids=["ex31", "ex32", "random"]
+)
+def test_mu_levels_match_one_level_at_a_time(pair):
+    g, h = pair
+    ts = [1e-6, 1e-3, 0.5, 1.0, 30.0, 1e5]
+    levels = mu_estimate_levels(g, h, ts, budget=8, seed=3)
+    singles = [mu_estimate_detail(g, h, t, budget=8, seed=3) for t in ts]
+    # repr compares every field exactly, NaN values included.
+    assert [repr(d) for d in levels] == [repr(d) for d in singles]
+    if g is G31:
+        # The small levels are ovals that no ray from the origin meets.
+        assert math.isnan(levels[0].value) and levels[0].best_point is None
+
+
+def test_mu_exact_zero_on_the_grid_is_a_crossing():
+    # On the ray +x1, |g| - t is exactly 0 at the grid radius r_k, so the
+    # crossing is r_k itself, with no bisection.
+    g = parse_polynomial("x1^2", 2)
+    rs = np.geomspace(1e-8, 1e8, 161)
+    for k in (3, 80, 150):
+        r = float(rs[k])
+        (detail,) = mu_estimate_levels(g, H32, [r**2], budget=1)
+        assert detail.crossings == 1
+        assert detail.best_point == (r, 0.0)
+
+
+def test_mu_levels_bounds():
+    assert mu_estimate_levels(G32, H32, []) == ()
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget"):
+            mu_estimate_levels(G32, H32, [1.0], budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            mu_estimate_levels(G32, H32, [], budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            mu_estimate_detail(G32, H32, 1.0, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            fit_exponents(G32, H32, budget=budget)
+    with pytest.raises(ValueError, match="level_budget"):
+        verify_inequality(G32, H32, 0.5, 1.0, 1.0, box_count=10, level_budget=-1)
+    with pytest.raises(ValueError, match="positive"):
+        mu_estimate_levels(G32, H32, [1.0, 0.0])
 
 
 def test_fit_reference_pair():
@@ -203,6 +255,29 @@ def test_hunt_finds_nothing_for_reference_pair():
     assert hunt_sequences(G32, H32, "SecondType") is None
     assert hunt_sequences(G32, H32, "FirstType") is None
     assert hunt_sequences(G31, H31, "FirstType") is None
+
+
+def test_hunt_skips_coefficients_that_cannot_vanish(monkeypatch):
+    # Every blocking Laurent coefficient of a positive, even g has one sign
+    # on each orthant, so no candidate curve reaches the numeric solver.
+    import scipy.optimize
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the curve solver was called")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", no_solver)
+    pairs = [
+        (G32, H32),
+        ("4*x1^4 + 2*x2^2 + 1/2*x1^2*x2^2", "x1^2 + 1/2*x2^2"),
+        ("x1^6 + 3/2*x2^2", "x1^4 + 3*x2^6"),
+    ]
+    for g, h in pairs:
+        g, h = (parse_polynomial(f, 2) if isinstance(f, str) else f for f in (g, h))
+        assert hunt_sequences(g, h, "SecondType") is None
+        assert hunt_sequences(g, h, "FirstType") is None
+    evidence = hunt_sequences(G31, H31, "SecondType")
+    assert evidence.q == (1, -1)
+    assert evidence.a == ("1", "1")
 
 
 def test_hunt_rejects_unknown_kind():

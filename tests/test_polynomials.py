@@ -20,7 +20,7 @@ from polyloj import (
     restrict_to_axes,
 )
 from polyloj.polyhedra import d_and_face, newton_polyhedron
-from polyloj.polynomials import MonomialForm
+from polyloj.polynomials import MonomialForm, sign_uniform_on_all_sheets
 
 
 def test_parse_pinned_expansion():
@@ -236,3 +236,39 @@ def test_mapping_container():
         PolynomialMapping(())
     with pytest.raises(PolynomialError):
         PolynomialMapping((f, parse_polynomial("x1", 1)))
+
+
+def test_sign_uniform_on_all_sheets_pinned():
+    for text, n, expect in [
+        ("-3*x1^3*x2", 2, True),
+        ("x1^2 + x2^4 + 1", 2, True),
+        ("x1^2*x2^2 + 1/2*x1^4", 2, True),
+        ("x1 - x2", 2, False),
+        ("x1*x2 + 1", 2, False),
+        ("x1^2 - 1", 1, False),
+    ]:
+        assert sign_uniform_on_all_sheets(parse_polynomial(text, n)) is expect, text
+
+
+def test_sign_uniform_never_vanishes_on_sampled_orthants():
+    # Soundness against exact evaluation: where the test says yes, f keeps
+    # one nonzero sign across sampled points of each open orthant.
+    rnd = util.make_rng(1602)
+    accepted = 0
+    for _ in range(300):
+        n = rnd.randint(1, 3)
+        f = util.random_polynomial(rnd, n, max_terms=3, max_exp=4)
+        if not sign_uniform_on_all_sheets(f):
+            continue
+        accepted += 1
+        for _ in range(8):
+            sheet = [rnd.choice((1, -1)) for _ in range(n)]
+            values = [
+                f.evaluate_exact(
+                    [sj * Fraction(rnd.randint(1, 50), rnd.randint(1, 50)) for sj in sheet]
+                )
+                for _ in range(4)
+            ]
+            signs = {(v > 0) - (v < 0) for v in values}
+            assert len(signs) == 1 and 0 not in signs
+    assert accepted > 30
